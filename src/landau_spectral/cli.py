@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics as diag
-from .collision import CostGuardError, q_periodic_direct, q_periodic_fast
+from .collision import CostGuardError, _term_pairs, q_periodic_direct, q_periodic_fast
 from .exact import BkwParams, ShellParams, bkw, coulomb_shell
 from .integrator import BlowUpError, TimeConfig, initial_state, run
 from .kernel import (
@@ -38,6 +38,7 @@ from .spectral import (
     SnapshotFormatError,
     SpectralField,
     _mode_ints,
+    convolve_pairs,
     project,
     read_snapshot,
     set_fft_workers,
@@ -197,20 +198,14 @@ def _build_initial(cfg: RunConfig, grid: GridSpec):
     return project(to_spectral(PhysicalField(vals, grid))), None
 
 
-def _tables_for(cfg: RunConfig, grid: GridSpec):
-    cache = cfg.kernel_cache or None
-    if cache is not None and grid.P != cfg.P:
-        cache = f"{cache}.P{grid.P}"  # convergence studies key the cache per P
-    return build_or_load_tables(grid, cache, tol=cfg.quad_tol)
-
-
 def cmd_run(cfg: RunConfig) -> int:
-    set_fft_workers(_resolve_threads(cfg.threads))
+    cfg = replace(cfg, threads=_resolve_threads(cfg.threads))  # config.txt records it
+    set_fft_workers(cfg.threads)
     grid = cfg.grid()
     tconf = cfg.time_config()
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    tables = _tables_for(cfg, grid)
+    tables = build_or_load_tables(grid, cfg.kernel_cache or None, tol=cfg.quad_tol)
     fhat0, exact = _build_initial(cfg, grid)
 
     (outdir / "config.txt").write_text(cfg.serialize())
@@ -251,7 +246,8 @@ def cmd_convergence(cfg: RunConfig, grids: list[int]) -> int:
     for P in grids:
         sub = replace(cfg, P=P)
         grid = sub.grid()
-        tables = _tables_for(sub, grid)
+        cache = f"{cfg.kernel_cache}.P{P}" if cfg.kernel_cache else None  # one per grid
+        tables = build_or_load_tables(grid, cache, tol=cfg.quad_tol)
         fhat0, exact = _build_initial(sub, grid)
         records = []
         t0 = _time.perf_counter()
@@ -371,22 +367,37 @@ def kernel_check(points: int = 8, gamma: float = -3.0, L: float = 8.0,
         results.append(("quadrature self-consistency (tol 1e-8 vs 1e-10)", qworst <= 2e-8,
                         f"max abs defect {qworst:.3e}"))
 
-    # fast path vs direct double sum on this grid
+    # fast path vs direct double sum, on complex coefficients and on the
+    # projected real fields that q_scheme_rhs passes to the real transforms
     beta_fn = beta_coulomb if gamma == -3.0 else beta_from_tables(tables)
-    dworst = 0.0
-    for _ in range(3):
-        g = SpectralField(rng.standard_normal((points,) * 3)
-                          + 1j * rng.standard_normal((points,) * 3), grid)
-        h = SpectralField(rng.standard_normal((points,) * 3)
-                          + 1j * rng.standard_normal((points,) * 3), grid)
-        fast = q_periodic_fast(g, h, tables)
-        direct = q_periodic_direct(g, h, beta_fn)
-        dworst = max(dworst, float(
-            np.max(np.abs(fast.data - direct.data)) / np.max(np.abs(direct.data))
-        ))
-    results.append(("FFT evaluation vs direct double sum", dworst <= 1e-12,
-                    f"max rel defect {dworst:.3e} (tol 1e-12)"))
+    for real in (False, True):
+        worst = 0.0
+        for _ in range(3):
+            g, h = _random_field(rng, grid, real), _random_field(rng, grid, real)
+            fast = q_periodic_fast(g, h, tables, hermitian=real).data
+            worst = max(worst, _rel_dev(fast, q_periodic_direct(g, h, beta_fn).data))
+        results.append((("real-field " if real else "") + "FFT evaluation vs direct double sum",
+                        worst <= 1e-12, f"max rel defect {worst:.3e} (tol 1e-12)"))
+
+    # negative control: at Q = 3N - 1 the image of l + m = -2N lands on N - 1
+    g, h = _random_field(rng, grid, False), _random_field(rng, grid, False)
+    short = convolve_pairs(_term_pairs(g.data, h.data, tables), points, 3 * grid.N - 1)
+    dev = _rel_dev(short / (2.0 * L) ** 3, q_periodic_direct(g, h, beta_fn).data)
+    results.append(("aliasing seen at Q = 3N - 1", dev > 1e-6,
+                    f"max rel defect {dev:.3e} (must exceed 1e-6)"))
     return results
+
+
+def _random_field(rng, grid: GridSpec, real: bool) -> SpectralField:
+    """Projected coefficients of a random real field, or random complex ones."""
+    vals = rng.standard_normal((grid.P,) * 3)
+    if real:
+        return to_spectral(PhysicalField(vals, grid))
+    return SpectralField(vals + 1j * rng.standard_normal(vals.shape), grid)
+
+
+def _rel_dev(fast: np.ndarray, direct: np.ndarray) -> float:
+    return float(np.max(np.abs(fast - direct)) / np.max(np.abs(direct)))
 
 
 def cmd_kernel_check(points: int, gamma: float, corrupt: bool = False) -> int:
@@ -403,20 +414,17 @@ def cmd_oracle_compare(cfg: RunConfig) -> int:
     grid = cfg.grid()
     if grid.P > 16:
         raise ConfigError(f"oracle comparison uses the O(P^6) direct sum; P={grid.P} > 16")
-    tables = _tables_for(cfg, grid)
+    tables = build_or_load_tables(grid, cfg.kernel_cache or None, tol=cfg.quad_tol)
     beta_fn = beta_coulomb if grid.gamma == -3.0 else beta_from_tables(tables)
     rng = np.random.default_rng(745737)
     worst = 0.0
-    for trial in range(5):
-        g = SpectralField(rng.standard_normal((grid.P,) * 3)
-                          + 1j * rng.standard_normal((grid.P,) * 3), grid)
-        h = SpectralField(rng.standard_normal((grid.P,) * 3)
-                          + 1j * rng.standard_normal((grid.P,) * 3), grid)
-        fast = q_periodic_fast(g, h, tables)
-        direct = q_periodic_direct(g, h, beta_fn)
-        dev = float(np.max(np.abs(fast.data - direct.data)) / np.max(np.abs(direct.data)))
-        worst = max(worst, dev)
-        print(f"pair {trial}: max rel deviation {dev:.3e}")
+    for real in (False, True):
+        for trial in range(5):
+            g, h = _random_field(rng, grid, real), _random_field(rng, grid, real)
+            fast = q_periodic_fast(g, h, tables, hermitian=real).data
+            dev = _rel_dev(fast, q_periodic_direct(g, h, beta_fn).data)
+            worst = max(worst, dev)
+            print(f"{'real' if real else 'complex'} pair {trial}: max rel deviation {dev:.3e}")
     print(f"worst deviation {worst:.3e} (tol 1e-12)")
     return 0 if worst <= 1e-12 else 2
 

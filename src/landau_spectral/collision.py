@@ -4,9 +4,10 @@ The periodized Landau operator acts on Fourier coefficients as
 
     Qhat(g, h)(k) = (2L)^-3 sum_{l+m=k; l,m in J_N} ghat(l) hhat(m) beta(l, m),
 
-and since beta is quadratic in m it splits into eight truncated
-convolutions (one per table A, B, C_ij), each evaluated with FFTs.  The
-direct double-sum evaluator is retained as an O(P^6) oracle for small P.
+and since beta is quadratic in m it splits into seven truncated
+convolutions (the tables A and C_ij, with B(l)|m|^2 folded into the
+diagonal C_ii), summed by one FFT engine.  The direct double-sum
+evaluator is retained as an O(P^6) oracle for small P.
 """
 
 from __future__ import annotations
@@ -17,16 +18,12 @@ import numpy as np
 
 from .kernel import KernelTables, beta_coulomb
 from .spectral import (
-    GridSpec,
     ShapeMismatchError,
     SpectralField,
-    _embed_full,
-    _extract_full,
-    _fftn,
-    _ifftn,
     _mode_ints,
     apply_cutoff,
-    convolve_hermitian_sum,
+    convolve_pairs,
+    padded_size,
     project,
 )
 
@@ -54,49 +51,35 @@ def _check_compatible(ghat: SpectralField, hhat: SpectralField, tables: KernelTa
 
 
 def _term_pairs(gdata: np.ndarray, hdata: np.ndarray, tables: KernelTables):
-    """The eight (first, second) coefficient products whose convolutions sum
-    to (2L)^3 Qhat; off-diagonal tensor terms carry their symmetry factor 2."""
+    """The seven (first, second) coefficient products whose convolutions sum
+    to (2L)^3 Qhat.  B(l)|m|^2 = sum_i B(l) m_i^2 rides on the diagonal
+    tables C_ii + B; off-diagonal tensor terms carry their symmetry factor 2."""
     P = gdata.shape[0]
     m1, m2, m3 = _m_broadcast(P)
-    msq = m1 * m1 + m2 * m2 + m3 * m3
+    B = tables.B
     yield tables.A * gdata, hdata
-    yield tables.B * gdata, msq * hdata
-    yield tables.C11 * gdata, (m1 * m1) * hdata
-    yield tables.C22 * gdata, (m2 * m2) * hdata
-    yield tables.C33 * gdata, (m3 * m3) * hdata
+    yield (tables.C11 + B) * gdata, (m1 * m1) * hdata
+    yield (tables.C22 + B) * gdata, (m2 * m2) * hdata
+    yield (tables.C33 + B) * gdata, (m3 * m3) * hdata
     yield tables.C12 * gdata, (2.0 * m1 * m2) * hdata
     yield tables.C13 * gdata, (2.0 * m1 * m3) * hdata
     yield tables.C23 * gdata, (2.0 * m2 * m3) * hdata
 
 
-def q_periodic_fast(ghat: SpectralField, hhat: SpectralField, tables: KernelTables) -> SpectralField:
+def q_periodic_fast(
+    ghat: SpectralField, hhat: SpectralField, tables: KernelTables, *, hermitian: bool = False
+) -> SpectralField:
     """FFT evaluation of Qhat(g, h) on J_N.
 
-    Works for arbitrary complex coefficients.  With the grid's "exact"
-    padding every convolution is dealiased by factor-2 zero padding and
-    the result matches the literal double sum to rounding.
+    Works for arbitrary complex coefficients; ``hermitian=True`` states that
+    both operands are projected real fields and selects real transforms.
+    With "exact" padding (the 3/2 rule) this is the literal double sum to
+    rounding.
     """
     _check_compatible(ghat, hhat, tables)
     grid = ghat.grid
-    P = grid.P
-    Q = 2 * P if grid.padding == "exact" else P
-    acc = None
-    for first, second in _term_pairs(ghat.data, hhat.data, tables):
-        X = _ifftn(_embed_full(first, Q))
-        Y = _ifftn(_embed_full(second, Q))
-        acc = X * Y if acc is None else acc + X * Y
-    zbig = _fftn(acc) * float(Q) ** 3
-    out = _extract_full(zbig, P) / (2.0 * grid.L) ** 3
-    return SpectralField(out, grid)
-
-
-def _q_fast_hermitian(ghat: SpectralField, hhat: SpectralField, tables: KernelTables) -> SpectralField:
-    """Same operator on real fields (Hermitian coefficients), via real FFTs."""
-    _check_compatible(ghat, hhat, tables)
-    grid = ghat.grid
-    P = grid.P
-    Q = 2 * P if grid.padding == "exact" else P
-    out = convolve_hermitian_sum(_term_pairs(ghat.data, hhat.data, tables), P, Q)
+    pairs = _term_pairs(ghat.data, hhat.data, tables)
+    out = convolve_pairs(pairs, grid.P, padded_size(grid), hermitian)
     out /= (2.0 * grid.L) ** 3
     return SpectralField(out, grid)
 
@@ -176,10 +159,10 @@ def q_scheme_rhs(fhat: SpectralField, grid, tables: KernelTables) -> SpectralFie
     Computes P_N( P_N(Qhat(F, F)) psi_R ) with F = P_N(f psi_R), i.e. the
     velocity cutoff is applied to the state before the collision and to
     the result after it, with a Galerkin projection at every stage.  The
-    state is real by construction, so the Hermitian fast path is used.
+    state is real and F is projected, so the real-transform engine is used.
     """
     if fhat.grid != grid:
         raise ShapeMismatchError("state grid differs from the requested grid")
     F = project(apply_cutoff(fhat))
-    U = _q_fast_hermitian(F, F, tables)
+    U = q_periodic_fast(F, F, tables, hermitian=True)
     return project(apply_cutoff(project(U)))

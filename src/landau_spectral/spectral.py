@@ -73,8 +73,9 @@ class GridSpec:
     R : float, optional
         Support radius of the velocity cutoff, 0 < R <= L.  Defaults to L.
     padding : {"exact", "aliased"}
-        "exact" evaluates mode convolutions with factor-2 zero padding
-        (no aliasing); "aliased" works at size P and folds the tails in.
+        "exact" zero-pads mode convolutions to Q >= 3N points per axis
+        (the 3/2 rule, no aliasing); "aliased" works at size P and folds
+        the tails in.  See ``padded_size``.
     oversample : int
         Collocation refinement factor used when multiplying by the cutoff.
     cutoff_shape : {"paper", "smooth", "none"}
@@ -257,21 +258,6 @@ def _modes_to_half(src: np.ndarray, n: int) -> np.ndarray:
     return H
 
 
-def _embed_full(src: np.ndarray, n: int) -> np.ndarray:
-    """Zero-pad (P,P,P) FFT-order coefficients into an (n,n,n) FFT-order array."""
-    P = src.shape[-1]
-    idx = _embed_idx(P, n)
-    big = np.zeros(src.shape[:-3] + (n, n, n), dtype=np.complex128)
-    big[..., idx[:, None, None], idx[None, :, None], idx[None, None, :]] = src
-    return big
-
-
-def _extract_full(big: np.ndarray, P: int) -> np.ndarray:
-    n = big.shape[-1]
-    idx = _embed_idx(P, n)
-    return big[..., idx[:, None, None], idx[None, :, None], idx[None, None, :]]
-
-
 def _check_hermitian(fhat: SpectralField) -> None:
     """Raise unless coefficients describe a real field (relative tol 1e-12)."""
     data = fhat.data
@@ -397,50 +383,70 @@ def apply_cutoff(fhat: SpectralField) -> SpectralField:
     return to_spectral(PhysicalField(prod, grid))
 
 
+def padded_size(grid: GridSpec, padding: str | None = None) -> int:
+    """Transform size Q per axis for the mode convolutions on ``grid``.
+
+    Sums l + m of modes in [-N, N-1] lie in [-2N, 2N-2], so an image
+    l + m -/+ Q can land back in J_N only when Q <= 3N - 1 (at l + m = -2N
+    it lands on N - 1).  "exact" therefore takes the smallest FFT-friendly
+    Q >= 3N, Orszag's 3/2 rule; "aliased" takes Q = P and folds the images in.
+    """
+    if padding is None:
+        padding = grid.padding
+    if padding not in _PADDINGS:
+        raise ValueError(f"padding must be one of {_PADDINGS}, got {padding!r}")
+    if padding == "aliased":
+        return grid.P
+    return _sfft.next_fast_len(3 * grid.N, real=True)
+
+
+def _padded_values(coeffs: np.ndarray, Q: int, hermitian: bool) -> np.ndarray:
+    """Inverse DFT of (P,P,P) coefficients zero-padded to a Q^3 grid."""
+    if hermitian:
+        return _irfftn(_modes_to_half(coeffs, Q), Q)
+    idx = _embed_idx(coeffs.shape[0], Q)
+    big = np.zeros((Q, Q, Q), dtype=np.complex128)
+    big[np.ix_(idx, idx, idx)] = coeffs
+    return _ifftn(big)
+
+
+def convolve_pairs(pairs, P: int, Q: int, hermitian: bool = False) -> np.ndarray:
+    """sum_t conv(x_t, y_t) on J_N for (P,P,P) FFT-order pairs (x_t, y_t).
+
+    The products of the padded point values share one accumulator and one
+    forward transform.  Q >= 3N gives the literal truncated sums, Q = P
+    folds the images in (``padded_size``).  ``hermitian`` operands must be
+    coefficients of real fields (Hermitian, zero Nyquist planes) and run on
+    real-FFT half spectra, about twice as fast; otherwise any coefficients
+    go through complex transforms.
+    """
+    acc = None
+    for x, y in pairs:
+        prod = _padded_values(x, Q, hermitian) * _padded_values(y, Q, hermitian)
+        acc = prod if acc is None else np.add(acc, prod, out=acc)
+    if hermitian:
+        out = _half_to_modes(_rfftn(acc), Q, P)
+    else:
+        idx = _embed_idx(P, Q)
+        out = _fftn(acc)[np.ix_(idx, idx, idx)]
+    out *= float(Q) ** 3
+    return out
+
+
 def truncated_convolution(
     xhat: SpectralField, yhat: SpectralField, padding: str | None = None
 ) -> SpectralField:
     """Mode-space convolution z(k) = sum_{l+m=k, l,m in J_N} x(l) y(m), k in J_N.
 
-    With "exact" padding the sum is evaluated on a 2P-point circle, which
-    is wide enough that no aliased image l+m = k +/- 2P contributes; the
-    result equals the literal truncated double sum to rounding.  With
-    "aliased" padding the product is formed at size P and images fold in
-    (cheaper, classic pseudo-spectral tradeoff).
+    "exact" padding (the 3/2 rule) gives the literal truncated double sum
+    to rounding; "aliased" padding folds the images in.  Complex
+    transforms, so any coefficients are accepted.
     """
     if xhat.grid != yhat.grid:
         raise ShapeMismatchError("operands live on different grids")
     grid = xhat.grid
-    P = grid.P
-    if padding is None:
-        padding = grid.padding
-    if padding not in _PADDINGS:
-        raise ValueError(f"padding must be one of {_PADDINGS}, got {padding!r}")
-    Q = 2 * P if padding == "exact" else P
-    X = _ifftn(_embed_full(xhat.data, Q))
-    Y = _ifftn(_embed_full(yhat.data, Q))
-    zbig = _fftn(X * Y) * float(Q) ** 3
-    return SpectralField(_extract_full(zbig, P), grid)
-
-
-def convolve_hermitian_sum(pairs, P: int, Q: int) -> np.ndarray:
-    """sum_t conv(x_t, y_t) truncated to J_N, for Hermitian-symmetric factors.
-
-    All factor arrays must be (P,P,P) FFT-order coefficients of real
-    fields (Hermitian, zero Nyquist planes), which lets every transform
-    run in the real-FFT half-spectrum representation; roughly twice the
-    throughput of the complex engine.
-    """
-    phys = None
-    for xdat, ydat in pairs:
-        xp = _irfftn(_modes_to_half(xdat, Q), Q)
-        yp = _irfftn(_modes_to_half(ydat, Q), Q)
-        if phys is None:
-            phys = xp * yp
-        else:
-            phys += xp * yp
-    zhalf = _rfftn(phys) * float(Q) ** 3
-    return _half_to_modes(zhalf, Q, P)
+    Q = padded_size(grid, padding)
+    return SpectralField(convolve_pairs([(xhat.data, yhat.data)], grid.P, Q), grid)
 
 
 def parseval_l2(fhat: SpectralField) -> float:

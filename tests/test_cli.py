@@ -107,6 +107,8 @@ def test_kernel_check_passes_coulomb():
     names = [name for name, _, _ in results]
     assert any("closed form" in n for n in names)
     assert any("mass identity" in n for n in names)
+    assert any("real-field FFT evaluation" in n for n in names)
+    assert any("aliasing seen at Q = 3N - 1" in n for n in names)
 
 
 def test_kernel_check_negative_control():
@@ -200,6 +202,25 @@ def test_run_uses_kernel_cache(tmp_path):
     assert cache.stat().st_mtime_ns == stamp  # loaded, not rebuilt
 
 
+def test_convergence_keys_kernel_cache_per_grid(tmp_path, monkeypatch, capsys):
+    from landau_spectral import kernel
+
+    cache = tmp_path / "tables.lskt"
+    cfg = _write_cfg(tmp_path, kernel_cache=str(cache), t_end=1e-3)
+    assert main(["convergence", str(cfg), "--grids", "8,16"]) == 0
+    files = sorted(p.name for p in tmp_path.glob("tables.lskt*"))
+    assert files == ["tables.lskt.P16", "tables.lskt.P8"]
+    for P in (8, 16):
+        assert kernel.load_tables(f"{cache}.P{P}").P == P
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("tables were rebuilt despite a matching cache file")
+
+    monkeypatch.setattr(kernel, "build_kernel_tables", no_build)
+    assert main(["convergence", str(cfg), "--grids", "8,16"]) == 0
+    capsys.readouterr()
+
+
 def test_run_exit_codes(tmp_path, capsys):
     # missing config file -> i/o error
     assert main(["run", str(tmp_path / "nope.cfg")]) == 3
@@ -217,8 +238,13 @@ def test_run_exit_codes(tmp_path, capsys):
 
 def test_thread_env_override(tmp_path, monkeypatch):
     cfg = _write_cfg(tmp_path, t_end=1e-3)
+    echo = tmp_path / "out" / "config.txt"
     monkeypatch.setenv(THREADS_ENV, "2")
     assert main(["run", str(cfg)]) == 0
+    assert RunConfig.parse(echo.read_text()).threads == 2  # the count used, not 1
+    monkeypatch.setenv(THREADS_ENV, "0")  # auto
+    assert main(["run", str(cfg)]) == 0
+    assert RunConfig.parse(echo.read_text()).threads == _resolve_threads(0) >= 1
     monkeypatch.setenv(THREADS_ENV, "zippy")
     assert main(["run", str(cfg)]) == 1
 

@@ -5,6 +5,7 @@ import pytest
 
 from landau_spectral.collision import (
     CostGuardError,
+    _term_pairs,
     q_periodic_direct,
     q_periodic_fast,
     q_scheme_rhs,
@@ -15,6 +16,8 @@ from landau_spectral.spectral import (
     PhysicalField,
     ShapeMismatchError,
     SpectralField,
+    convolve_pairs,
+    padded_size,
     project,
     to_spectral,
     truncated_convolution,
@@ -90,6 +93,31 @@ def test_fast_matches_direct(P, tables_for, rng):
     direct = q_periodic_direct(g, h)
     scale = np.max(np.abs(direct.data))
     assert np.max(np.abs(fast.data - direct.data)) < 1e-12 * scale
+
+
+@pytest.mark.parametrize("P", [4, 6, 8, 16])
+def test_real_transform_path_matches_direct(P, tables_for, rng):
+    # the path q_scheme_rhs takes: projected real fields, real transforms
+    grid = _grid(P=P, L=1.7)
+    tables = tables_for(grid)
+    g = _hermitian(grid, rng)
+    h = _hermitian(grid, rng)
+    fast = q_periodic_fast(g, h, tables, hermitian=True)
+    direct = q_periodic_direct(g, h)
+    scale = np.max(np.abs(direct.data))
+    assert np.max(np.abs(fast.data - direct.data)) < 1e-12 * scale
+
+
+@pytest.mark.parametrize("P", [32, 48])
+def test_three_halves_padding_matches_double_padding(P, tables_for, rng):
+    grid = _grid(P=P, L=1.8)
+    tables = tables_for(grid)
+    g = _hermitian(grid, rng)
+    want = convolve_pairs(_term_pairs(g.data, g.data, tables), P, 2 * P, hermitian=True)
+    got = convolve_pairs(_term_pairs(g.data, g.data, tables), P, padded_size(grid),
+                         hermitian=True)
+    assert padded_size(grid) == 3 * P // 2
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_direct_sum_with_constant_kernel_is_a_convolution(rng):

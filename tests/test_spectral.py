@@ -11,8 +11,9 @@ from landau_spectral.spectral import (
     SnapshotFormatError,
     SpectralField,
     apply_cutoff,
-    convolve_hermitian_sum,
+    convolve_pairs,
     get_fft_workers,
+    padded_size,
     parseval_l2,
     project,
     psi_R,
@@ -293,7 +294,7 @@ def test_hermitian_engine_matches_complex(rng):
     x = to_spectral(PhysicalField(rng.standard_normal((8, 8, 8)), grid))
     y = to_spectral(PhysicalField(rng.standard_normal((8, 8, 8)), grid))
     want = truncated_convolution(x, y, padding="exact").data
-    got = convolve_hermitian_sum([(x.data, y.data)], grid.P, 2 * grid.P)
+    got = convolve_pairs([(x.data, y.data)], grid.P, 2 * grid.P, hermitian=True)
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
@@ -304,12 +305,47 @@ def test_hermitian_engine_accumulates_pairs(rng):
         for _ in range(4)
     ]
     pairs = [(fields[0].data, fields[1].data), (fields[2].data, fields[3].data)]
-    got = convolve_hermitian_sum(pairs, grid.P, 2 * grid.P)
+    got = convolve_pairs(pairs, grid.P, 2 * grid.P, hermitian=True)
     want = (
         truncated_convolution(fields[0], fields[1], padding="exact").data
         + truncated_convolution(fields[2], fields[3], padding="exact").data
     )
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
+def test_padded_size_follows_three_halves_rule():
+    assert [padded_size(_grid(P=P)) for P in (4, 8, 16, 32, 48)] == [6, 12, 24, 48, 72]
+    # 3N = 33 has the factor 11; the next 5-smooth size is 36
+    assert padded_size(_grid(P=22)) == 36
+    assert padded_size(_grid(P=16, padding="aliased")) == 16
+    assert padded_size(_grid(P=16), padding="aliased") == 16
+    with pytest.raises(ValueError):
+        padded_size(_grid(P=16), padding="twice")
+
+
+@pytest.mark.parametrize("hermitian", [False, True])
+def test_engine_at_three_halves_matches_brute_force(rng, hermitian):
+    grid = _grid(P=6, L=1.0)
+    x = to_spectral(PhysicalField(rng.standard_normal((6, 6, 6)), grid))
+    y = to_spectral(PhysicalField(rng.standard_normal((6, 6, 6)), grid))
+    if not hermitian:  # arbitrary coefficients, Nyquist planes included
+        x = SpectralField(x.data + 1j * rng.standard_normal((6, 6, 6)), grid)
+        y = SpectralField(y.data + rng.standard_normal((6, 6, 6)), grid)
+    want = _brute_convolution(x.data, y.data, 6)
+    got = convolve_pairs([(x.data, y.data)], 6, 9, hermitian=hermitian)
+    assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+
+
+def test_engine_one_short_of_three_halves_aliases(rng):
+    # negative control: at Q = 3N - 1 the image of l + m = -2N lands on
+    # N - 1, so the engine must miss the literal sum there
+    shape = (6, 6, 6)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    want = _brute_convolution(x, y, 6)
+    got = convolve_pairs([(x, y)], 6, 8)
+    assert np.max(np.abs(got - want)) > 1e-6 * np.max(np.abs(want))
+    assert np.max(np.abs(convolve_pairs([(x, y)], 6, 9) - want)) < 1e-13 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------
