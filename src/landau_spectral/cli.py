@@ -24,11 +24,14 @@ from .kernel import (
     BetaParams,
     QuadratureError,
     TableCacheError,
+    _profiles_from_integrals,
+    _radial_F,
     beta_coulomb,
     beta_from_tables,
     beta_quadrature,
     build_kernel_tables,
     build_or_load_tables,
+    radial_profiles,
 )
 from .spectral import (
     GridSpec,
@@ -189,10 +192,10 @@ def _build_initial(cfg: RunConfig, grid: GridSpec):
         return initial_state(lambda V: coulomb_shell(V, p), grid), None
     path = cfg.init[len("file:"):]
     vals, header = read_snapshot(path)
-    if header["P"] != grid.P or header["L"] != grid.L:
+    if (header["P"], header["L"], header["gamma"]) != (grid.P, grid.L, grid.gamma):
         raise ConfigError(
-            f"snapshot {path} has P={header['P']}, L={header['L']}; "
-            f"config wants P={grid.P}, L={grid.L}"
+            f"snapshot {path} has P={header['P']}, L={header['L']}, gamma={header['gamma']}; "
+            f"config wants P={grid.P}, L={grid.L}, gamma={grid.gamma}"
         )
     # restart semantics: the stored state is used as-is (no fresh cutoff)
     return project(to_spectral(PhysicalField(vals, grid))), None
@@ -310,15 +313,28 @@ def kernel_check(points: int = 8, gamma: float = -3.0, L: float = 8.0,
                         f"max rel defect {worst:.3e} (tol 1e-12)"))
     else:
         params = BetaParams(gamma=gamma, L=L)
-        lsub = K[rng.choice(len(K), size=min(24, len(K)), replace=False)]
         worst = 0.0
-        for lv in lsub:
+        for lv in K:
             for mv in msample[rng.choice(len(msample), size=6, replace=False)]:
                 ref = beta_quadrature(lv, mv, params)
                 got = recon(lv, mv)
                 worst = max(worst, abs(got - ref) / (1.0 + abs(ref)))
-        results.append(("table reconstruction vs quadrature", worst <= 1e-8,
-                        f"max rel defect {worst:.3e} (tol 1e-8)"))
+        results.append(("table reconstruction vs quadrature", worst <= 1e-9,
+                        f"max rel defect {worst:.3e} (tol 1e-9)"))
+
+        # the profiles (closed form or cumulative) on every distinct radius
+        # against the integrals taken from zero; a profile may cross zero, so
+        # the defect is relative to beta's size at |m| = |l|, the sum of the
+        # weighted profiles |A| + |B||l|^2 + |Cs||l|^4
+        q = np.unique(ll)[1:]
+        F = np.array([_radial_F(gamma, float(np.pi * np.sqrt(v)), 1e-10, 200) for v in q])
+        qf = q.astype(np.float64)
+        ref = np.stack(_profiles_from_integrals(qf, F[:, 0], F[:, 1], gamma, L))
+        w = np.stack([np.ones_like(qf), qf, qf * qf])
+        dev = np.abs(radial_profiles(q, gamma, L) - ref) * w / np.sum(np.abs(ref) * w, axis=0)
+        pworst = float(np.max(dev))
+        results.append(("radial profiles vs from-zero quadrature", pworst <= 1e-11,
+                        f"max rel defect {pworst:.3e} (tol 1e-11)"))
 
     # exact collision invariant beta(l, -l) = 0, via the tables themselves
     mass = np.array([recon(lv, -lv) for lv in K])

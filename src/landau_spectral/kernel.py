@@ -38,6 +38,20 @@ x = |l| pi):
 and beta(l, m) = pi c [ a1b1 F1(x) + a2b2 F2(x) ] / |l|^(gamma+5) with
 a1b1 = (|l|^4 - (l.m)^2)/|l|^2 and a2b2 = -|l x m|^2/|l|^2.  At
 gamma = -3 these reduce exactly to the closed form above.
+
+Every table is thus a radial profile A, B or Cs (C_ij = Cs l_i l_j) of
+|l|, and the tables evaluate the profiles once per distinct |l|^2.  At
+gamma = 0 (Maxwellian molecules) the integrals are elementary; x >= pi on
+every nonzero mode, so no small-x branch is needed:
+
+    F1(x) = 8 (3 sin x - 3x cos x - x^2 sin x),
+    F2(x) = 4 (-x^3 cos x + 4x^2 sin x + 9x cos x - 9 sin x).
+
+For any other gamma the integrals are cumulative: with the distinct radii
+sorted, 0 = x_0 < x_1 < x_2 < ..., each panel [x_(i-1), x_i] is integrated
+once by adaptive quadrature and the running sums give F1 and F2 at every
+x_i.  ``beta_quadrature`` still integrates [0, x] from scratch and serves
+as the independent check on both.
 """
 
 from __future__ import annotations
@@ -213,14 +227,14 @@ def _i2(u):
     return np.where(small, series, direct)
 
 
-def _quad_or_raise(f, x, tol, limit):
+def _quad_or_raise(f, x, tol, limit, lo=0.0):
     # tol acts as both absolute and relative target: the integrals range over
     # many orders of magnitude (|l| from 1 to P*sqrt(3)/2) and a purely
     # absolute tolerance trips QUADPACK's roundoff detector on the large ones.
-    res = quad(f, 0.0, x, epsabs=tol, epsrel=tol, limit=limit, full_output=1)
+    res = quad(f, lo, x, epsabs=tol, epsrel=tol, limit=limit, full_output=1)
     if len(res) > 3:
         raise QuadratureError(
-            f"radial kernel integral on [0, {x:g}] did not converge "
+            f"radial kernel integral on [{lo:g}, {x:g}] did not converge "
             f"(estimate {res[0]:.6e}, error {res[1]:.2e}): {res[3]}"
         )
     return res[0]
@@ -228,7 +242,7 @@ def _quad_or_raise(f, x, tol, limit):
 
 @lru_cache(maxsize=65536)
 def _radial_F(gamma: float, x: float, tol: float, limit: int):
-    """(F1, F2) radial integrals; cached since tables revisit the same |l|."""
+    """(F1, F2) integrated from zero; cached since beta_quadrature revisits |l|."""
     p = gamma + 4.0
     F1 = 2.0 * _quad_or_raise(lambda u: u**p * _i1(u), x, tol, limit)
     F2 = _quad_or_raise(lambda u: u**p * (_i1(u) + 2.0 * _i2(u)), x, tol, limit)
@@ -273,52 +287,79 @@ def beta_quadrature(l, m, params: BetaParams, tol: float = 1e-10, limit: int = 2
     return np.pi * c * (a1b1 * F1 + a2b2 * F2) / float(ll) ** ((gamma + 5.0) / 2.0)
 
 
+def _profiles_from_integrals(ll, F1, F2, gamma: float, L: float):
+    """(A, B, Cs) at squared radii ll > 0 (floats) from the integrals F1, F2."""
+    c = (L / np.pi) ** (gamma + 3.0)
+    return (np.pi * c * F1 / ll ** ((gamma + 3.0) / 2.0),
+            -np.pi * c * F2 / ll ** ((gamma + 5.0) / 2.0),
+            np.pi * c * (F2 - F1) / ll ** ((gamma + 7.0) / 2.0))
+
+
+def _cumulative_integrals(x, gamma: float, tol: float, limit: int):
+    """(F1, F2) at ascending radii x: each panel [x_(i-1), x_i] once, summed."""
+    p = gamma + 4.0
+    f1 = lambda u: u**p * _i1(u)
+    f2 = lambda u: u**p * (_i1(u) + 2.0 * _i2(u))
+    edges = np.concatenate(([0.0], x))
+    panels = np.array([[_quad_or_raise(f, b, tol, limit, lo=a) for f in (f1, f2)]
+                       for a, b in zip(edges[:-1], edges[1:])]).reshape(-1, 2)
+    F = np.cumsum(panels, axis=0)
+    return 2.0 * F[:, 0], F[:, 1]
+
+
+def radial_profiles(ll, gamma: float, L: float, tol: float = 1e-10, limit: int = 200):
+    """Radial profiles (A, B, Cs) of the tables at distinct squared radii.
+
+    ``ll`` holds distinct integers |l|^2 >= 0 in ascending order (as
+    ``np.unique`` returns them); the result has shape (3, len(ll)) and
+    C_ij = Cs l_i l_j.  The zero mode gets A = Cs = 0 and B = B(0).
+    Coulomb uses the closed form, gamma = 0 the elementary
+    antiderivatives, and any other gamma the cumulative quadrature with
+    tolerance ``tol`` and subdivision cap ``limit`` per panel.
+    """
+    ll = np.asarray(ll, dtype=np.int64)
+    pos = ll > 0
+    q = ll[pos].astype(np.float64)
+    x = np.pi * np.sqrt(q)
+    if gamma == -3.0:
+        profiles = (8.0 * np.pi * _one_minus_sinc(x),
+                    _4PI * _cos_minus_sinc(x) / q,
+                    -_4PI * _ramp_c(x) / (q * q))
+        B0 = _B0_COULOMB
+    else:
+        if gamma == 0.0:
+            s, c = np.sin(x), np.cos(x)
+            F1 = 8.0 * (3.0 * s - 3.0 * x * c - x * x * s)
+            F2 = 4.0 * (-x**3 * c + 4.0 * x * x * s + 9.0 * x * c - 9.0 * s)
+        else:
+            F1, F2 = _cumulative_integrals(x, gamma, tol, limit)
+        profiles = _profiles_from_integrals(q, F1, F2, gamma, L)
+        B0 = _b_zero_mode(gamma, L)
+    out = np.zeros((3, ll.size))
+    out[1] = B0
+    out[:, pos] = profiles
+    return out
+
+
 def build_kernel_tables(grid: GridSpec, tol: float = 1e-10, limit: int = 200) -> KernelTables:
     """Tabulate A, B, C_ij over the grid's mode set.
 
-    gamma = -3 uses the closed form (vectorized, exact); other gamma
-    values integrate the radial profiles once per distinct |l|^2, which
-    keeps the quadrature count at O(N^2) rather than O(N^3).
+    The radial profiles are evaluated once per distinct |l|^2 (1057 values
+    at P = 48, against 110592 modes) by ``radial_profiles`` and scattered back
+    onto the grid; ``tol`` and ``limit`` reach only the cumulative
+    quadrature used when gamma is neither -3 nor 0.  Each C_ij is the
+    profile Cs times the monomial l_i l_j.
     """
-    P = grid.P
-    k = _mode_ints(P)
+    k = _mode_ints(grid.P)
     K1 = k[:, None, None]
     K2 = k[None, :, None]
     K3 = k[None, None, :]
     ll = (K1 * K1 + K2 * K2 + K3 * K3).astype(np.int64)
-    ll_f = ll.astype(np.float64)
-    zero = ll == 0
-    x = np.pi * np.sqrt(np.where(zero, 1.0, ll_f))
-
-    if grid.gamma == -3.0:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            A = 8.0 * np.pi * _one_minus_sinc(x)
-            B = _4PI * _cos_minus_sinc(x) / ll_f
-            Cs = -_4PI * _ramp_c(x) / (ll_f * ll_f)
-        A = np.where(zero, 0.0, A)
-        B = np.where(zero, _B0_COULOMB, B)
-    else:
-        c = (grid.L / np.pi) ** (grid.gamma + 3.0)
-        uniq, inv = np.unique(ll, return_inverse=True)
-        F1u = np.empty(uniq.shape, dtype=np.float64)
-        F2u = np.empty(uniq.shape, dtype=np.float64)
-        for i, q in enumerate(uniq):
-            if q == 0:
-                F1u[i] = F2u[i] = 0.0
-                continue
-            F1u[i], F2u[i] = _radial_F(grid.gamma, float(np.pi * np.sqrt(q)), tol, limit)
-        F1 = F1u[inv].reshape(ll.shape)
-        F2 = F2u[inv].reshape(ll.shape)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            A = np.pi * c * F1 / ll_f ** ((grid.gamma + 3.0) / 2.0)
-            B = -np.pi * c * F2 / ll_f ** ((grid.gamma + 5.0) / 2.0)
-            Cs = np.pi * c * (F2 - F1) / ll_f ** ((grid.gamma + 7.0) / 2.0)
-        A = np.where(zero, 0.0, A)
-        B = np.where(zero, _b_zero_mode(grid.gamma, grid.L), B)
-
-    Cs = np.where(zero, 0.0, Cs)
+    uniq, inv = np.unique(ll, return_inverse=True)
+    A, B, Cs = (p[inv].reshape(ll.shape)
+                for p in radial_profiles(uniq, grid.gamma, grid.L, tol, limit))
     return KernelTables(
-        gamma=grid.gamma, L=grid.L, P=P,
+        gamma=grid.gamma, L=grid.L, P=grid.P,
         A=A, B=B,
         C11=Cs * (K1 * K1), C22=Cs * (K2 * K2), C33=Cs * (K3 * K3),
         C12=Cs * (K1 * K2), C13=Cs * (K1 * K3), C23=Cs * (K2 * K3),

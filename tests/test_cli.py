@@ -121,6 +121,19 @@ def test_kernel_check_general_gamma():
     assert all(ok for _, ok, _ in results)
 
 
+@pytest.mark.parametrize("gamma", [0.0, -2.5])
+def test_kernel_check_closed_form_and_cumulative_gammas(gamma):
+    results = kernel_check(points=6, gamma=gamma)
+    assert all(ok for _, ok, _ in results)
+    assert "radial profiles vs from-zero quadrature" in [name for name, _, _ in results]
+
+
+def test_kernel_check_negative_control_gamma0():
+    results = {name: ok for name, ok, _ in kernel_check(points=6, gamma=0.0, corrupt=True)}
+    assert not results["table reconstruction vs quadrature"]
+    assert results["radial profiles vs from-zero quadrature"]  # profiles are rebuilt
+
+
 def test_kernel_check_refuses_large_grids():
     with pytest.raises(ConfigError):
         kernel_check(points=18)
@@ -188,6 +201,19 @@ def test_run_writes_and_restarts_from_snapshots(tmp_path):
         output_dir=str(tmp_path / "out3"),
     )
     assert main(["run", str(cfg3)]) == 1
+
+
+def test_restart_refuses_snapshot_of_another_gamma(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, snapshot_every=2)  # gamma = 0
+    assert main(["run", str(cfg)]) == 0
+    cfg2 = _write_cfg(
+        tmp_path, name="other_gamma.cfg", gamma=-1.0,
+        init=f"file:{tmp_path / 'out' / 'snapshot_000002.lsfd'}",
+        output_dir=str(tmp_path / "out2"),
+    )
+    assert main(["run", str(cfg2)]) == 1
+    assert "gamma=0.0" in capsys.readouterr().err
+    assert not (tmp_path / "out2" / "diagnostics.csv").exists()  # no step was taken
 
 
 def test_run_uses_kernel_cache(tmp_path):

@@ -10,6 +10,10 @@ from landau_spectral.kernel import (
     BetaParams,
     QuadratureError,
     TableCacheError,
+    _cos_minus_sinc,
+    _one_minus_sinc,
+    _radial_F,
+    _ramp_c,
     beta_coulomb,
     beta_from_tables,
     beta_quadrature,
@@ -17,9 +21,10 @@ from landau_spectral.kernel import (
     build_or_load_tables,
     coulomb_profiles,
     load_tables,
+    radial_profiles,
     save_tables,
 )
-from landau_spectral.spectral import GridSpec
+from landau_spectral.spectral import GridSpec, _mode_ints
 
 PI = np.pi
 
@@ -242,6 +247,70 @@ def test_tables_gamma0_against_antiderivative(tables_for):
         ref = _gamma0_closed_form(l, m, 2.5)
         worst = max(worst, abs(recon(l, m) - ref) / (1.0 + abs(ref)))
     assert worst <= 1e-8
+
+
+def _distinct_ll(P):
+    k = _mode_ints(P)
+    return np.unique(k[:, None, None] ** 2 + k[None, :, None] ** 2 + k[None, None, :] ** 2)
+
+
+@pytest.mark.parametrize("P", [32, 16])  # P = 16 reuses the cached P = 32 radii
+@pytest.mark.parametrize("gamma", [0.0, -1.0, -2.5, 0.5])
+def test_radial_profiles_match_from_zero_quadrature(gamma, P):
+    # closed form (gamma = 0) or cumulative panels against the integrals
+    # taken from zero, on every distinct radius of the grid.  Profiles cross
+    # zero (A vanishes at |l| = 2 for gamma = -1), so each defect is relative
+    # to beta's size at |m| = |l|: |A| + |B||l|^2 + |Cs||l|^4.
+    L = 8.0
+    q = _distinct_ll(P)[1:]
+    qf = q.astype(float)
+    F = np.array([_radial_F(gamma, float(PI * np.sqrt(v)), 1e-10, 200) for v in q])
+    c = (L / PI) ** (gamma + 3.0)
+    ref = np.stack([
+        PI * c * F[:, 0] / qf ** ((gamma + 3.0) / 2.0),
+        -PI * c * F[:, 1] / qf ** ((gamma + 5.0) / 2.0),
+        PI * c * (F[:, 1] - F[:, 0]) / qf ** ((gamma + 7.0) / 2.0),
+    ])
+    w = np.stack([np.ones_like(qf), qf, qf * qf])
+    dev = np.abs(radial_profiles(q, gamma, L) - ref) * w / np.sum(np.abs(ref) * w, axis=0)
+    assert np.max(dev) <= 1e-11
+
+
+@pytest.mark.parametrize("gamma", [-1.0, -2.5, 0.5])
+def test_tables_independent_of_grid(gamma):
+    # the cumulative panels of P = 8 and P = 16 end at different radii; the
+    # shared modes must still get the same table entries
+    t8 = build_kernel_tables(GridSpec(L=8.0, P=8, gamma=gamma))
+    t16 = build_kernel_tables(GridSpec(L=8.0, P=16, gamma=gamma))
+    shared = np.ix_(*[np.r_[0:4, 12:16]] * 3)  # modes -4..3 in FFT order
+    for a, b in zip([t8.A, t8.B] + t8.c_list(), [t16.A, t16.B] + t16.c_list()):
+        assert np.max(np.abs(a - b[shared])) <= 1e-12 * np.max(np.abs(a))
+
+
+def test_coulomb_tables_bit_identical_to_full_grid_formula():
+    # the closed form evaluated on every mode of the grid; the per-radius
+    # profiles, scattered, must reproduce it bit for bit
+    P = 16
+    k = _mode_ints(P)
+    K1 = k[:, None, None]
+    K2 = k[None, :, None]
+    K3 = k[None, None, :]
+    ll = (K1 * K1 + K2 * K2 + K3 * K3).astype(np.int64)
+    ll_f = ll.astype(np.float64)
+    zero = ll == 0
+    x = np.pi * np.sqrt(np.where(zero, 1.0, ll_f))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        A = 8.0 * np.pi * _one_minus_sinc(x)
+        B = 4.0 * np.pi * _cos_minus_sinc(x) / ll_f
+        Cs = -4.0 * np.pi * _ramp_c(x) / (ll_f * ll_f)
+    A = np.where(zero, 0.0, A)
+    B = np.where(zero, -4.0 * np.pi**3 / 3.0, B)
+    Cs = np.where(zero, 0.0, Cs)
+    expected = [A, B, Cs * (K1 * K1), Cs * (K2 * K2), Cs * (K3 * K3),
+                Cs * (K1 * K2), Cs * (K1 * K3), Cs * (K2 * K3)]
+    t = build_kernel_tables(GridSpec(L=1.8, P=P, gamma=-3.0))
+    for got, want in zip([t.A, t.B] + t.c_list(), expected):
+        assert np.array_equal(got, want)
 
 
 def test_table_zero_mode_entries(tables_for):
