@@ -372,6 +372,8 @@ def kernel_check(points: int = 8, gamma: float = -3.0, L: float = 8.0,
         results.append(("quadrature vs closed form", qworst <= 1e-8,
                         f"max abs defect {qworst:.3e} (tol 1e-8)"))
     else:
+        # defects relative to beta's size |A| + (|B| + |Cs||l|^2)|m|^2 (the profile
+        # row's scale at |m| = |l|), since coefficients reach 1e4-1e5 at L = 8
         params = BetaParams(gamma=gamma, L=L)
         qworst = 0.0
         for _ in range(20):
@@ -379,9 +381,11 @@ def kernel_check(points: int = 8, gamma: float = -3.0, L: float = 8.0,
             mv = rng.integers(-8, 9, size=3)
             a = beta_quadrature(lv, mv, params, tol=1e-8)
             b = beta_quadrature(lv, mv, params, tol=1e-10)
-            qworst = max(qworst, abs(a - b))
-        results.append(("quadrature self-consistency (tol 1e-8 vs 1e-10)", qworst <= 2e-8,
-                        f"max abs defect {qworst:.3e}"))
+            A, B, Cs = np.abs(ref[:, np.searchsorted(q, lv @ lv)])
+            size = A + (B + Cs * (lv @ lv)) * (mv @ mv)
+            qworst = max(qworst, abs(a - b) / size)
+        results.append(("quadrature self-consistency (tol 1e-8 vs 1e-10)", qworst <= 1e-9,
+                        f"max rel defect {qworst:.3e} (tol 1e-9)"))
 
     # fast path vs direct double sum, on complex coefficients and on the
     # projected real fields that q_scheme_rhs passes to the real transforms

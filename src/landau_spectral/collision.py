@@ -6,8 +6,11 @@ The periodized Landau operator acts on Fourier coefficients as
 
 and since beta is quadratic in m it splits into seven truncated
 convolutions (the tables A and C_ij, with B(l)|m|^2 folded into the
-diagonal C_ii), summed by one FFT engine.  The direct double-sum
-evaluator is retained as an O(P^6) oracle for small P.
+diagonal C_ii), summed by one FFT engine.  For real states the engine
+zero-pads each factor to Q >= 3N points per axis in pruned one-axis
+passes that skip the all-zero columns (``spectral._modes_to_values``).
+The direct double-sum evaluator is retained as an O(P^6) oracle for
+small P.
 """
 
 from __future__ import annotations

@@ -219,43 +219,60 @@ def _ifftn(a):
     return _sfft.ifftn(a, axes=(-3, -2, -1), workers=_fft_workers)
 
 
-def _rfftn(a):
-    return _sfft.rfftn(a, axes=(-3, -2, -1), workers=_fft_workers)
-
-
-def _irfftn(a, n):
-    return _sfft.irfftn(a, s=(n, n, n), axes=(-3, -2, -1), workers=_fft_workers)
-
-
-def _half_to_modes(H: np.ndarray, n: int, P: int) -> np.ndarray:
-    """Gather DFT values at modes J_N from an rfftn half-spectrum of size n.
-
-    Negative k3 values are reconstructed from the Hermitian partner
-    H(-k1,-k2,-k3) by conjugation, so the result is exactly Hermitian
-    whenever the underlying samples are real.
-    """
+def _pad_axis(a: np.ndarray, axis: int, n: int) -> np.ndarray:
+    """Zero-pad FFT-order ``axis`` of ``a`` from P to n slots (``a`` itself at n = P)."""
+    P = a.shape[axis]
+    if n == P:
+        return a
     N = P // 2
-    idx = _embed_idx(P, n)
-    k = _mode_ints(P)
-    neg = (n - k) % n
-    out = np.empty((P, P, P), dtype=np.complex128)
-    out[:, :, :N] = H[np.ix_(idx, idx, np.arange(N))]
-    out[:, :, N:] = np.conj(H[np.ix_(neg, neg, np.arange(N, 0, -1))])
+    out = np.zeros(a.shape[:axis] + (n,) + a.shape[axis + 1 :], dtype=a.dtype)
+    dst, src = np.moveaxis(out, axis, 0), np.moveaxis(a, axis, 0)
+    dst[:N], dst[n - N :] = src[:N], src[N:]
     return out
 
 
-def _modes_to_half(src: np.ndarray, n: int) -> np.ndarray:
-    """Zero-pad (P,P,P) Hermitian coefficients into an (n, n, n/2+1) half-spectrum.
+def _modes_to_values(src: np.ndarray, n: int) -> np.ndarray:
+    """Real values on an n^3 grid from (P,P,P) Hermitian coefficients.
 
-    Only the k3 >= 0 half of ``src`` is read; the caller guarantees
-    Hermitian symmetry and zeroed Nyquist planes.
+    Reads the k3 >= 0 half only (the caller guarantees Hermitian symmetry
+    and zeroed Nyquist planes).  Axis 0 is zero-padded to n and transformed
+    on its P*N columns, then axis 1 on n*N, then a c2r pass runs along
+    axis 2: the 1-D transforms of a full irfftn minus the all-zero ones.
     """
     P = src.shape[0]
+    a = src[:, :, : P // 2]
+    for axis in (0, 1):  # the padded copies are ours to transform in place
+        a = _sfft.ifftn(_pad_axis(a, axis, n), axes=(axis,), overwrite_x=n > P,
+                        workers=_fft_workers)
+    return _sfft.irfftn(a, s=(n,), axes=(2,), workers=_fft_workers)
+
+
+def _values_to_modes(vals: np.ndarray, P: int) -> np.ndarray:
+    """DFT values at the modes J_N of real samples on an n^3 grid.
+
+    The mirror image of ``_modes_to_values``: an r2c pass along axis 2
+    keeps k3 = 0..N, then passes along axes 0 and 1 each keep the rows
+    k = -N..N.  The k = +N row is the conjugate partner of the k = -N
+    Nyquist row.  Negative k3 are rebuilt from the partner (-k1,-k2,-k3)
+    by conjugation, so the result is exactly Hermitian.
+    """
     N = P // 2
-    idx = _embed_idx(P, n)
-    H = np.zeros((n, n, n // 2 + 1), dtype=np.complex128)
-    H[np.ix_(idx, idx, np.arange(N))] = src[:, :, :N]
-    return H
+    n = vals.shape[0]
+    if n == P:  # nothing to prune
+        a = _sfft.rfftn(vals, axes=(0, 1, 2), workers=_fft_workers)
+    else:
+        keep = np.r_[: N + 1, n - N : n]
+        a = _sfft.rfftn(vals, axes=(2,), workers=_fft_workers)[:, :, : N + 1]
+        a = _sfft.fftn(a, axes=(0,), workers=_fft_workers).take(keep, axis=0)
+        a = _sfft.fftn(a, axes=(1,), overwrite_x=True,  # a is the copy take made
+                       workers=_fft_workers).take(keep, axis=1)
+    M = a.shape[0]  # P + 1 kept rows, or n = P
+    k = _mode_ints(P)
+    pos, neg = k % M, -k % M
+    out = np.empty((P, P, P), dtype=np.complex128)
+    out[:, :, :N] = a[np.ix_(pos, pos, np.arange(N))]
+    out[:, :, N:] = np.conj(a[np.ix_(neg, neg, np.arange(N, 0, -1))])
+    return out
 
 
 def _check_hermitian(fhat: SpectralField) -> None:
@@ -299,15 +316,16 @@ def to_spectral(field: PhysicalField) -> SpectralField:
     """Forward transform: rectangle-rule Fourier coefficients on J_N.
 
     The grid size must be a multiple of P; modes above N-1 are discarded
-    (projection) and the Nyquist planes are zeroed.
+    (projection) and the Nyquist planes are zeroed.  Above n = P the
+    transform runs one axis at a time and keeps only the rows of the
+    modes -N..N after each pass (``_values_to_modes``).
     """
     grid = field.grid
     P = grid.P
     n = field.n
     if n % P != 0:
         raise ShapeMismatchError(f"grid size {n} is not a multiple of P={P}")
-    H = _rfftn(field.data)
-    out = _half_to_modes(H, n, P)
+    out = _values_to_modes(field.data, P)
     out *= _phase3(P) * (2.0 * grid.L / n) ** 3
     return project(SpectralField(out, grid))
 
@@ -317,6 +335,8 @@ def to_physical(fhat: SpectralField, n: int | None = None) -> PhysicalField:
 
     The coefficients must describe a real field; violations of Hermitian
     symmetry beyond 1e-12 (relative) raise ``HermitianSymmetryError``.
+    The transform runs one axis at a time and skips the all-zero columns
+    of the zero-padded spectrum (``_modes_to_values``).
     """
     grid = fhat.grid
     P = grid.P
@@ -325,8 +345,8 @@ def to_physical(fhat: SpectralField, n: int | None = None) -> PhysicalField:
     if n % P != 0 or n < P:
         raise ShapeMismatchError(f"output grid size {n} is not a multiple of P={P}")
     _check_hermitian(fhat)
-    H = _modes_to_half(fhat.data * _phase3(P), n)
-    vals = _irfftn(H, n) * (n**3 / (2.0 * grid.L) ** 3)
+    vals = _modes_to_values(fhat.data * _phase3(P), n)
+    vals *= n**3 / (2.0 * grid.L) ** 3
     return PhysicalField(vals, grid)
 
 
@@ -379,8 +399,8 @@ def apply_cutoff(fhat: SpectralField) -> SpectralField:
         return fhat
     n = grid.oversample * grid.P
     phys = to_physical(fhat, n)
-    prod = phys.data * _psi_grid_values(grid, n)
-    return to_spectral(PhysicalField(prod, grid))
+    phys.data *= _psi_grid_values(grid, n)
+    return to_spectral(phys)
 
 
 def padded_size(grid: GridSpec, padding: str | None = None) -> int:
@@ -403,7 +423,7 @@ def padded_size(grid: GridSpec, padding: str | None = None) -> int:
 def _padded_values(coeffs: np.ndarray, Q: int, hermitian: bool) -> np.ndarray:
     """Inverse DFT of (P,P,P) coefficients zero-padded to a Q^3 grid."""
     if hermitian:
-        return _irfftn(_modes_to_half(coeffs, Q), Q)
+        return _modes_to_values(coeffs, Q)
     idx = _embed_idx(coeffs.shape[0], Q)
     big = np.zeros((Q, Q, Q), dtype=np.complex128)
     big[np.ix_(idx, idx, idx)] = coeffs
@@ -417,15 +437,17 @@ def convolve_pairs(pairs, P: int, Q: int, hermitian: bool = False) -> np.ndarray
     forward transform.  Q >= 3N gives the literal truncated sums, Q = P
     folds the images in (``padded_size``).  ``hermitian`` operands must be
     coefficients of real fields (Hermitian, zero Nyquist planes) and run on
-    real-FFT half spectra, about twice as fast; otherwise any coefficients
-    go through complex transforms.
+    real-FFT half spectra, one axis at a time and skipping the all-zero
+    columns of the padding (``_modes_to_values``, ``_values_to_modes``);
+    otherwise any coefficients go through full complex transforms.
     """
     acc = None
     for x, y in pairs:
-        prod = _padded_values(x, Q, hermitian) * _padded_values(y, Q, hermitian)
+        prod = _padded_values(x, Q, hermitian)
+        prod *= _padded_values(y, Q, hermitian)
         acc = prod if acc is None else np.add(acc, prod, out=acc)
     if hermitian:
-        out = _half_to_modes(_rfftn(acc), Q, P)
+        out = _values_to_modes(acc, P)
     else:
         idx = _embed_idx(P, Q)
         out = _fftn(acc)[np.ix_(idx, idx, idx)]

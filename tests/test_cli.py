@@ -134,6 +134,35 @@ def test_kernel_check_negative_control_gamma0():
     assert results["radial profiles vs from-zero quadrature"]  # profiles are rebuilt
 
 
+_SELF_CONSISTENCY = "quadrature self-consistency (tol 1e-8 vs 1e-10)"
+
+
+@pytest.mark.parametrize("points,gamma", [(6, 0.5), (6, -0.5), (8, -0.5)])
+def test_kernel_check_self_consistency_is_relative(points, gamma):
+    # coefficients reach 1e4-1e5 at L = 8, so only a relative defect is meaningful
+    results = {name: (ok, detail) for name, ok, detail in kernel_check(points, gamma)}
+    assert results[_SELF_CONSISTENCY][0], results[_SELF_CONSISTENCY][1]
+
+
+def test_kernel_check_self_consistency_sees_a_damaged_value(monkeypatch):
+    from landau_spectral import kernel
+
+    damaged = []
+
+    def quadrature(l, m, params, tol=1e-10, limit=200):
+        value = kernel.beta_quadrature(l, m, params, tol, limit)
+        if tol == 1e-8 and not damaged:  # the row's first coarse value
+            damaged.append(value)
+            return value * (1.0 + 1e-6)
+        return value
+
+    monkeypatch.setattr("landau_spectral.cli.beta_quadrature", quadrature)
+    results = {name: ok for name, ok, _ in kernel_check(points=6, gamma=0.5)}
+    assert damaged and damaged[0] != 0.0
+    assert not results[_SELF_CONSISTENCY]
+    assert results["radial profiles vs from-zero quadrature"]
+
+
 def test_kernel_check_refuses_large_grids():
     with pytest.raises(ConfigError):
         kernel_check(points=18)

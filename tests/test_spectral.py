@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from landau_spectral.spectral import (
     GridSpec,
@@ -25,6 +26,7 @@ from landau_spectral.spectral import (
     velocity_axis,
     write_snapshot,
 )
+from landau_spectral.spectral import _modes_to_values, _values_to_modes
 
 
 def _grid(P=8, L=2.0, **kw):
@@ -346,6 +348,90 @@ def test_engine_one_short_of_three_halves_aliases(rng):
     got = convolve_pairs([(x, y)], 6, 8)
     assert np.max(np.abs(got - want)) > 1e-6 * np.max(np.abs(want))
     assert np.max(np.abs(convolve_pairs([(x, y)], 6, 9) - want)) < 1e-13 * np.max(np.abs(want))
+
+
+# ---------------------------------------------------------------------------
+# pruned one-axis transforms against the full transforms
+# ---------------------------------------------------------------------------
+
+_PRUNED_SIZES = [(P, n) for P in (4, 10, 16, 22, 32)
+                 for n in sorted({P, 2 * P, 3 * P, padded_size(_grid(P=P))})]
+
+
+def _full_inverse(src, n):
+    """irfftn of the whole zero-padded (n, n, n/2+1) half spectrum."""
+    P = src.shape[0]
+    N = P // 2
+    idx = np.r_[:N, n - N : n]
+    H = np.zeros((n, n, n // 2 + 1), dtype=np.complex128)
+    H[np.ix_(idx, idx, np.arange(N))] = src[:, :, :N]
+    return scipy.fft.irfftn(H, s=(n, n, n))
+
+
+def _full_forward(vals, P):
+    """The full complex DFT of the samples, read at every mode of J_N."""
+    n = vals.shape[0]
+    N = P // 2
+    idx = np.r_[:N, n - N : n]
+    return scipy.fft.fftn(vals)[np.ix_(idx, idx, idx)]
+
+
+def _hermitian_modes(rng, P):
+    """DFT of random real samples: Hermitian, with nonzero Nyquist planes."""
+    return scipy.fft.fftn(rng.standard_normal((P, P, P)))
+
+
+@pytest.mark.parametrize("P,n", _PRUNED_SIZES)
+def test_pruned_inverse_matches_full_irfftn(rng, P, n):
+    src = _hermitian_modes(rng, P)
+    want = _full_inverse(src, n)
+    kept = src.copy()
+    got = _modes_to_values(src, n)
+    assert np.array_equal(src, kept)  # the input is not transformed in place
+    assert got.shape == (n, n, n)
+    assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("P,n", _PRUNED_SIZES)
+def test_pruned_forward_matches_full_dft(rng, P, n):
+    # every entry, the k_i = -N Nyquist planes included: their k3 < 0 part
+    # comes from the conjugate partner at k_i = +N
+    vals = rng.standard_normal((n, n, n))
+    want = _full_forward(vals, P)
+    kept = vals.copy()
+    got = _values_to_modes(vals, P)
+    assert np.array_equal(vals, kept)
+    assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("P", [10, 16, 22])
+def test_pruned_pair_with_two_workers(rng, P):
+    Q = padded_size(_grid(P=P))
+    src = _hermitian_modes(rng, P)
+    vals = rng.standard_normal((Q, Q, Q))
+    serial = _modes_to_values(src, Q), _values_to_modes(vals, P)
+    set_fft_workers(2)
+    try:
+        threaded = _modes_to_values(src, Q), _values_to_modes(vals, P)
+    finally:
+        set_fft_workers(1)
+    for a, b in zip(serial, threaded):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("P", [10, 16, 22])
+def test_hermitian_engine_unprojected_output_matches_complex(rng, P):
+    # convolve_pairs returns unprojected modes: the k_i = -N planes of the
+    # real path must match the complex engine too (odd Q = 15 at P = 10)
+    grid = _grid(P=P)
+    Q = padded_size(grid)
+    x, y = (to_spectral(PhysicalField(rng.standard_normal((P,) * 3), grid)).data
+            for _ in range(2))
+    want = convolve_pairs([(x, y)], P, Q)
+    got = convolve_pairs([(x, y)], P, Q, hermitian=True)
+    N = P // 2
+    assert np.max(np.abs(want[N])) > 1e-3 * np.max(np.abs(want))  # Nyquist plane is live
+    assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------
