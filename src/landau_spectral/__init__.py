@@ -47,7 +47,6 @@ from .spectral import (
     SnapshotFormatError,
     SpectralField,
     apply_cutoff,
-    parseval_l2,
     project,
     psi_R,
     read_snapshot,
@@ -97,7 +96,6 @@ __all__ = [
     "load_tables",
     "maxwellian_of",
     "moments",
-    "parseval_l2",
     "project",
     "psi_R",
     "q_periodic_direct",

@@ -65,7 +65,6 @@ class RunConfig:
     P: int = 32
     gamma: float = -3.0
     R: float | None = None  # resolved to L when left unset
-    padding: str = "exact"
     oversample: int = 2
     cutoff_shape: str = "paper"
     dt: float = 0.05
@@ -100,8 +99,7 @@ class RunConfig:
         try:
             return GridSpec(
                 L=self.L, P=self.P, gamma=self.gamma, R=self.R,
-                padding=self.padding, oversample=self.oversample,
-                cutoff_shape=self.cutoff_shape,
+                oversample=self.oversample, cutoff_shape=self.cutoff_shape,
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc

@@ -5,10 +5,11 @@ The periodized Landau operator acts on Fourier coefficients as
     Qhat(g, h)(k) = (2L)^-3 sum_{l+m=k; l,m in J_N} ghat(l) hhat(m) beta(l, m),
 
 and since beta is quadratic in m it splits into seven truncated
-convolutions (the tables A and C_ij, with B(l)|m|^2 folded into the
-diagonal C_ii), summed by one FFT engine.  For real states the engine
-zero-pads each factor to Q >= 3N points per axis in pruned one-axis
-passes that skip the all-zero columns (``spectral._modes_to_values``).
+convolutions (A, and the six C_ij = Cs l_i l_j with B(l)|m|^2 folded
+into the diagonal C_ii), summed by one FFT engine.  For real states the
+engine zero-pads each factor to Q >= 3N points per axis in pruned
+one-axis passes that skip the all-zero columns
+(``spectral._modes_to_values``).
 The direct double-sum evaluator is retained as an O(P^6) oracle for
 small P.
 """
@@ -56,17 +57,17 @@ def _check_compatible(ghat: SpectralField, hhat: SpectralField, tables: KernelTa
 def _term_pairs(gdata: np.ndarray, hdata: np.ndarray, tables: KernelTables):
     """The seven (first, second) coefficient products whose convolutions sum
     to (2L)^3 Qhat.  B(l)|m|^2 = sum_i B(l) m_i^2 rides on the diagonal
-    tables C_ii + B; off-diagonal tensor terms carry their symmetry factor 2."""
-    P = gdata.shape[0]
-    m1, m2, m3 = _m_broadcast(P)
-    B = tables.B
+    C_ii + B; off-diagonal tensor terms carry their symmetry factor 2.
+
+    l and m run over the same mode integers, so the mode coordinates serve
+    both factors: the first forms C_ij = Cs l_i l_j, the second m_i m_j."""
+    m = _m_broadcast(gdata.shape[0])
+    Cs, B = tables.Cs, tables.B
     yield tables.A * gdata, hdata
-    yield (tables.C11 + B) * gdata, (m1 * m1) * hdata
-    yield (tables.C22 + B) * gdata, (m2 * m2) * hdata
-    yield (tables.C33 + B) * gdata, (m3 * m3) * hdata
-    yield tables.C12 * gdata, (2.0 * m1 * m2) * hdata
-    yield tables.C13 * gdata, (2.0 * m1 * m3) * hdata
-    yield tables.C23 * gdata, (2.0 * m2 * m3) * hdata
+    for i in range(3):
+        yield (Cs * (m[i] * m[i]) + B) * gdata, (m[i] * m[i]) * hdata
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        yield (Cs * (m[i] * m[j])) * gdata, (2.0 * m[i] * m[j]) * hdata
 
 
 def q_periodic_fast(
@@ -76,8 +77,7 @@ def q_periodic_fast(
 
     Works for arbitrary complex coefficients; ``hermitian=True`` states that
     both operands are projected real fields and selects real transforms.
-    With "exact" padding (the 3/2 rule) this is the literal double sum to
-    rounding.
+    Padded by the 3/2 rule, this is the literal double sum to rounding.
     """
     _check_compatible(ghat, hhat, tables)
     grid = ghat.grid

@@ -40,9 +40,9 @@ a1b1 = (|l|^4 - (l.m)^2)/|l|^2 and a2b2 = -|l x m|^2/|l|^2.  At
 gamma = -3 these reduce exactly to the closed form above.
 
 Every table is thus a radial profile A, B or Cs (C_ij = Cs l_i l_j) of
-|l|, and the tables evaluate the profiles once per distinct |l|^2.  At
-gamma = 0 (Maxwellian molecules) the integrals are elementary; x >= pi on
-every nonzero mode, so no small-x branch is needed:
+|l|: the tables evaluate the profiles once per distinct |l|^2 and store
+A, B and Cs.  At gamma = 0 (Maxwellian molecules) the integrals are
+elementary; x >= pi on every nonzero mode, so no small-x branch is needed:
 
     F1(x) = 8 (3 sin x - 3x cos x - x^2 sin x),
     F2(x) = 4 (-x^3 cos x + 4x^2 sin x + 9x cos x - 9 sin x).
@@ -91,8 +91,8 @@ class BetaParams:
 class KernelTables:
     """Separable kernel tables over the mode set, FFT order, shape (P, P, P).
 
-    beta(l, m) = A(l) + B(l)|m|^2 + sum_ij C_ij(l) m_i m_j with the
-    off-diagonal C entries stored once and counted twice in the sum.
+    beta(l, m) = A(l) + B(l)|m|^2 + Cs(l) (l.m)^2, the tensor part
+    sum_ij C_ij(l) m_i m_j with C_ij = Cs l_i l_j.
     """
 
     gamma: float
@@ -100,16 +100,7 @@ class KernelTables:
     P: int
     A: np.ndarray
     B: np.ndarray
-    C11: np.ndarray
-    C22: np.ndarray
-    C33: np.ndarray
-    C12: np.ndarray
-    C13: np.ndarray
-    C23: np.ndarray
-
-    def c_list(self):
-        """The six stored tensor components, diagonal first."""
-        return [self.C11, self.C22, self.C33, self.C12, self.C13, self.C23]
+    Cs: np.ndarray
 
 
 def _as_int_vec(a, name):
@@ -120,36 +111,6 @@ def _as_int_vec(a, name):
         if not np.all(arr == np.round(arr)):
             raise ValueError(f"{name} must be an integer mode vector")
     return arr.astype(np.int64)
-
-
-def _one_minus_sinc(x):
-    """1 - sin(x)/x, series below 1e-3 to dodge the cancellation at 0."""
-    x = np.asarray(x, dtype=np.float64)
-    small = np.abs(x) < 1e-3
-    xs = np.where(small, 1.0, x)
-    x2 = x * x
-    return np.where(small, x2 / 6.0 - x2 * x2 / 120.0 + x2 * x2 * x2 / 5040.0,
-                    1.0 - np.sin(xs) / xs)
-
-
-def _cos_minus_sinc(x):
-    """cos(x) - sin(x)/x with the same series-safe branch."""
-    x = np.asarray(x, dtype=np.float64)
-    small = np.abs(x) < 1e-3
-    xs = np.where(small, 1.0, x)
-    x2 = x * x
-    return np.where(small, -x2 / 3.0 + x2 * x2 / 30.0 - x2 * x2 * x2 / 840.0,
-                    np.cos(xs) - np.sin(xs) / xs)
-
-
-def _ramp_c(x):
-    """cos(x) + 2 - 3 sin(x)/x; O(x^4) at the origin, hence the series branch."""
-    x = np.asarray(x, dtype=np.float64)
-    small = np.abs(x) < 1e-3
-    xs = np.where(small, 1.0, x)
-    x2 = x * x
-    return np.where(small, x2 * x2 / 60.0 - x2 * x2 * x2 / 1260.0,
-                    np.cos(xs) + 2.0 - 3.0 * np.sin(xs) / xs)
 
 
 def beta_coulomb(l, m):
@@ -184,26 +145,6 @@ def beta_coulomb(l, m):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def coulomb_profiles(r):
-    """Radial profiles (A, B, C_scale) of the Coulomb tables at real |l| = r.
-
-    C_ij = C_scale * l_i l_j.  All three profiles extend continuously to
-    r = 0 with A(0) = 0, B(0) = -4 pi^3 / 3, C_scale(0) = -pi^5/15; the
-    series-safe branches keep them accurate through the origin.
-    """
-    r = np.asarray(r, dtype=np.float64)
-    x = np.pi * r
-    A = 8.0 * np.pi * _one_minus_sinc(x)
-    zero = r == 0
-    r2 = np.where(zero, 1.0, r * r)
-    B = np.where(zero, _B0_COULOMB, _4PI * _cos_minus_sinc(x) / r2)
-    # _ramp_c ~ x^4/60, so the ratio has a finite limit -4 pi^5 / 60
-    Cs = np.where(zero, -(np.pi**5) / 15.0, -_4PI * _ramp_c(x) / (r2 * r2))
-    if A.ndim == 0:
-        return float(A), float(B), float(Cs)
-    return A, B, Cs
 
 
 def _i1(u):
@@ -315,16 +256,18 @@ def radial_profiles(ll, gamma: float, L: float, tol: float = 1e-10, limit: int =
     C_ij = Cs l_i l_j.  The zero mode gets A = Cs = 0 and B = B(0).
     Coulomb uses the closed form, gamma = 0 the elementary
     antiderivatives, and any other gamma the cumulative quadrature with
-    tolerance ``tol`` and subdivision cap ``limit`` per panel.
+    tolerance ``tol`` and subdivision cap ``limit`` per panel.  Every
+    nonzero mode has x = pi |l| >= pi, so no small-x branch is needed.
     """
     ll = np.asarray(ll, dtype=np.int64)
     pos = ll > 0
     q = ll[pos].astype(np.float64)
     x = np.pi * np.sqrt(q)
     if gamma == -3.0:
-        profiles = (8.0 * np.pi * _one_minus_sinc(x),
-                    _4PI * _cos_minus_sinc(x) / q,
-                    -_4PI * _ramp_c(x) / (q * q))
+        s, c = np.sin(x), np.cos(x)
+        profiles = (8.0 * np.pi * (1.0 - s / x),
+                    _4PI * (c - s / x) / q,
+                    -_4PI * (c + 2.0 - 3.0 * s / x) / (q * q))
         B0 = _B0_COULOMB
     else:
         if gamma == 0.0:
@@ -342,28 +285,20 @@ def radial_profiles(ll, gamma: float, L: float, tol: float = 1e-10, limit: int =
 
 
 def build_kernel_tables(grid: GridSpec, tol: float = 1e-10, limit: int = 200) -> KernelTables:
-    """Tabulate A, B, C_ij over the grid's mode set.
+    """Tabulate the profiles A, B, Cs over the grid's mode set.
 
     The radial profiles are evaluated once per distinct |l|^2 (1057 values
     at P = 48, against 110592 modes) by ``radial_profiles`` and scattered back
     onto the grid; ``tol`` and ``limit`` reach only the cumulative
-    quadrature used when gamma is neither -3 nor 0.  Each C_ij is the
-    profile Cs times the monomial l_i l_j.
+    quadrature used when gamma is neither -3 nor 0.  The collision forms
+    each C_ij = Cs l_i l_j from Cs where it needs it.
     """
     k = _mode_ints(grid.P)
-    K1 = k[:, None, None]
-    K2 = k[None, :, None]
-    K3 = k[None, None, :]
-    ll = (K1 * K1 + K2 * K2 + K3 * K3).astype(np.int64)
+    ll = k[:, None, None] ** 2 + k[None, :, None] ** 2 + k[None, None, :] ** 2
     uniq, inv = np.unique(ll, return_inverse=True)
     A, B, Cs = (p[inv].reshape(ll.shape)
                 for p in radial_profiles(uniq, grid.gamma, grid.L, tol, limit))
-    return KernelTables(
-        gamma=grid.gamma, L=grid.L, P=grid.P,
-        A=A, B=B,
-        C11=Cs * (K1 * K1), C22=Cs * (K2 * K2), C33=Cs * (K3 * K3),
-        C12=Cs * (K1 * K2), C13=Cs * (K1 * K3), C23=Cs * (K2 * K3),
-    )
+    return KernelTables(gamma=grid.gamma, L=grid.L, P=grid.P, A=A, B=B, Cs=Cs)
 
 
 def beta_from_tables(tables: KernelTables):
@@ -376,20 +311,11 @@ def beta_from_tables(tables: KernelTables):
             raise ValueError("l must be a single mode vector")
         if np.any(lv < -P // 2) or np.any(lv > P // 2 - 1):
             raise ValueError(f"mode {lv} outside the table range for P={P}")
-        i1, i2, i3 = (int(q) % P for q in lv)
+        idx = tuple(int(q) % P for q in lv)
         mv = _as_int_vec(m, "m").astype(np.float64)
-        m1, m2, m3 = mv[..., 0], mv[..., 1], mv[..., 2]
-        mm = m1 * m1 + m2 * m2 + m3 * m3
-        val = (
-            tables.A[i1, i2, i3]
-            + tables.B[i1, i2, i3] * mm
-            + tables.C11[i1, i2, i3] * m1 * m1
-            + tables.C22[i1, i2, i3] * m2 * m2
-            + tables.C33[i1, i2, i3] * m3 * m3
-            + 2.0 * tables.C12[i1, i2, i3] * m1 * m2
-            + 2.0 * tables.C13[i1, i2, i3] * m1 * m3
-            + 2.0 * tables.C23[i1, i2, i3] * m2 * m3
-        )
+        mm = np.sum(mv * mv, axis=-1)
+        lm = mv @ lv.astype(np.float64)
+        val = tables.A[idx] + tables.B[idx] * mm + tables.Cs[idx] * lm * lm
         if val.ndim == 0:
             return float(val)
         return val
@@ -402,7 +328,7 @@ def beta_from_tables(tables: KernelTables):
 # ---------------------------------------------------------------------------
 
 _LSKT_MAGIC = b"LSKT"
-_LSKT_VERSION = 1
+_LSKT_VERSION = 2  # version 1 stored the six C_ij instead of Cs
 _LSKT_HEADER = struct.Struct("<4sIddI")  # magic, version, gamma, L, modes per dim
 
 
@@ -415,7 +341,7 @@ def save_tables(path, tables: KernelTables) -> None:
         fh.write(
             _LSKT_HEADER.pack(_LSKT_MAGIC, _LSKT_VERSION, tables.gamma, tables.L, tables.P)
         )
-        for arr in [tables.A, tables.B] + tables.c_list():
+        for arr in (tables.A, tables.B, tables.Cs):
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
@@ -431,7 +357,7 @@ def load_tables(path) -> KernelTables:
             raise TableCacheError(f"{path}: unsupported version {version}")
         arrs = []
         count = P**3
-        for _ in range(8):
+        for _ in range(3):
             buf = fh.read(8 * count)
             if len(buf) != 8 * count:
                 raise TableCacheError(f"{path}: truncated data section")

@@ -26,7 +26,6 @@ from functools import lru_cache
 import numpy as np
 import scipy.fft as _sfft
 
-_PADDINGS = ("exact", "aliased")
 _CUTOFF_SHAPES = ("paper", "smooth", "none")
 
 # scipy.fft worker count used by every transform in the package.
@@ -61,6 +60,9 @@ class SnapshotFormatError(ValueError):
 class GridSpec:
     """Static description of the velocity grid and scheme options.
 
+    Mode convolutions are zero-padded by the 3/2 rule (``padded_size``),
+    so the collision operator is the literal truncated double sum.
+
     Parameters
     ----------
     L : float
@@ -72,10 +74,6 @@ class GridSpec:
         Collision kernel exponent, |z|^(gamma+2); -3 is the Coulomb case.
     R : float, optional
         Support radius of the velocity cutoff, 0 < R <= L.  Defaults to L.
-    padding : {"exact", "aliased"}
-        "exact" zero-pads mode convolutions to Q >= 3N points per axis
-        (the 3/2 rule, no aliasing); "aliased" works at size P and folds
-        the tails in.  See ``padded_size``.
     oversample : int
         Collocation refinement factor used when multiplying by the cutoff.
     cutoff_shape : {"paper", "smooth", "none"}
@@ -86,7 +84,6 @@ class GridSpec:
     P: int
     gamma: float = -3.0
     R: float | None = None
-    padding: str = "exact"
     oversample: int = 2
     cutoff_shape: str = "paper"
 
@@ -105,8 +102,6 @@ class GridSpec:
             raise ValueError(f"gamma must lie in [-4, 1], got {self.gamma}")
         if not 0.0 < self.R <= self.L:
             raise ValueError(f"R must satisfy 0 < R <= L, got R={self.R}, L={self.L}")
-        if self.padding not in _PADDINGS:
-            raise ValueError(f"padding must be one of {_PADDINGS}, got {self.padding!r}")
         if self.oversample < 1:
             raise ValueError(f"oversample must be >= 1, got {self.oversample}")
         if self.cutoff_shape not in _CUTOFF_SHAPES:
@@ -403,20 +398,14 @@ def apply_cutoff(fhat: SpectralField) -> SpectralField:
     return to_spectral(phys)
 
 
-def padded_size(grid: GridSpec, padding: str | None = None) -> int:
+def padded_size(grid: GridSpec) -> int:
     """Transform size Q per axis for the mode convolutions on ``grid``.
 
     Sums l + m of modes in [-N, N-1] lie in [-2N, 2N-2], so an image
     l + m -/+ Q can land back in J_N only when Q <= 3N - 1 (at l + m = -2N
-    it lands on N - 1).  "exact" therefore takes the smallest FFT-friendly
-    Q >= 3N, Orszag's 3/2 rule; "aliased" takes Q = P and folds the images in.
+    it lands on N - 1).  Q is therefore the smallest FFT-friendly size
+    >= 3N, Orszag's 3/2 rule.
     """
-    if padding is None:
-        padding = grid.padding
-    if padding not in _PADDINGS:
-        raise ValueError(f"padding must be one of {_PADDINGS}, got {padding!r}")
-    if padding == "aliased":
-        return grid.P
     return _sfft.next_fast_len(3 * grid.N, real=True)
 
 
@@ -434,12 +423,13 @@ def convolve_pairs(pairs, P: int, Q: int, hermitian: bool = False) -> np.ndarray
     """sum_t conv(x_t, y_t) on J_N for (P,P,P) FFT-order pairs (x_t, y_t).
 
     The products of the padded point values share one accumulator and one
-    forward transform.  Q >= 3N gives the literal truncated sums, Q = P
-    folds the images in (``padded_size``).  ``hermitian`` operands must be
+    forward transform.  Q >= 3N gives the literal truncated sums; Q < 3N
+    aliases (``padded_size``).  ``hermitian`` operands must be
     coefficients of real fields (Hermitian, zero Nyquist planes) and run on
     real-FFT half spectra, one axis at a time and skipping the all-zero
-    columns of the padding (``_modes_to_values``, ``_values_to_modes``);
-    otherwise any coefficients go through full complex transforms.
+    columns of the zero-padded spectra (``_modes_to_values``,
+    ``_values_to_modes``); otherwise any coefficients go through full
+    complex transforms.
     """
     acc = None
     for x, y in pairs:
@@ -455,25 +445,17 @@ def convolve_pairs(pairs, P: int, Q: int, hermitian: bool = False) -> np.ndarray
     return out
 
 
-def truncated_convolution(
-    xhat: SpectralField, yhat: SpectralField, padding: str | None = None
-) -> SpectralField:
+def truncated_convolution(xhat: SpectralField, yhat: SpectralField) -> SpectralField:
     """Mode-space convolution z(k) = sum_{l+m=k, l,m in J_N} x(l) y(m), k in J_N.
 
-    "exact" padding (the 3/2 rule) gives the literal truncated double sum
-    to rounding; "aliased" padding folds the images in.  Complex
-    transforms, so any coefficients are accepted.
+    Padded by the 3/2 rule, so this is the literal truncated double sum to
+    rounding.  Complex transforms, so any coefficients are accepted.
     """
     if xhat.grid != yhat.grid:
         raise ShapeMismatchError("operands live on different grids")
     grid = xhat.grid
-    Q = padded_size(grid, padding)
+    Q = padded_size(grid)
     return SpectralField(convolve_pairs([(xhat.data, yhat.data)], grid.P, Q), grid)
-
-
-def parseval_l2(fhat: SpectralField) -> float:
-    """Alias of SpectralField.l2(), spelled out for call sites that compare norms."""
-    return fhat.l2()
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,9 @@ def test_config_parse_error_positions():
         RunConfig.parse("L=1.0\nP=8\ndt=fast\n")
     with pytest.raises(ConfigError, match="line 1"):
         RunConfig.parse("just some words\n")
+    # the convolutions always follow the 3/2 rule; there is no padding option
+    with pytest.raises(ConfigError, match="line 1: unknown key 'padding'"):
+        RunConfig.parse("padding=exact\n")
 
 
 def test_config_validation():

@@ -127,7 +127,7 @@ def test_direct_sum_with_constant_kernel_is_a_convolution(rng):
     g = _hermitian(grid, rng)
     h = _hermitian(grid, rng)
     got = q_periodic_direct(g, h, beta=lambda l, m: 1.0)
-    want = truncated_convolution(g, h, padding="exact").data / (2 * grid.L) ** 3
+    want = truncated_convolution(g, h).data / (2 * grid.L) ** 3
     assert np.max(np.abs(got.data - want)) < 1e-13 * np.max(np.abs(want))
 
 

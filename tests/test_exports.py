@@ -1,0 +1,31 @@
+"""Names that outside code looks up on the package must keep resolving."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import landau_spectral
+
+LAUNCH = Path(__file__).resolve().parents[1] / "perfbench" / "launch.py"
+
+
+def _launch_module():
+    spec = importlib.util.spec_from_file_location("perfbench_launch", LAUNCH)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_benchmark_probe_targets_exist():
+    # the benchmark's launcher wraps these where their callers look them up;
+    # a rename would break its --trace 1 runs (and cli.run its march timer)
+    launch = _launch_module()
+    targets = [(m, a) for m, a, _ in launch.TRACED] + [("cli", "run"), ("cli", "main")]
+    missing = [f"{m}.{a}" for m, a in targets
+               if not hasattr(importlib.import_module(f"landau_spectral.{m}"), a)]
+    assert not missing
+
+
+def test_public_names_resolve():
+    missing = [name for name in landau_spectral.__all__ if not hasattr(landau_spectral, name)]
+    assert not missing

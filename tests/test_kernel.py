@@ -10,16 +10,13 @@ from landau_spectral.kernel import (
     BetaParams,
     QuadratureError,
     TableCacheError,
-    _cos_minus_sinc,
-    _one_minus_sinc,
+    _LSKT_HEADER,
     _radial_F,
-    _ramp_c,
     beta_coulomb,
     beta_from_tables,
     beta_quadrature,
     build_kernel_tables,
     build_or_load_tables,
-    coulomb_profiles,
     load_tables,
     radial_profiles,
     save_tables,
@@ -91,60 +88,29 @@ def test_broadcasting_matches_scalar():
     assert np.array_equal(vec, scl)
 
 
-def test_profile_continuity_at_origin():
-    # the separated radial profiles must approach their r=0 limits smoothly
-    A0, B0, C0 = coulomb_profiles(np.array(0.0))
-    Ae, Be, Ce = coulomb_profiles(np.array(1e-4))
-    assert A0 == 0.0
-    assert B0 == pytest.approx(-4 * PI**3 / 3, rel=1e-15)
-    assert abs(Ae - A0) < 1e-6
-    assert abs(Be - B0) < 1e-6
-    assert abs(Ce - C0) < 1e-6
-
-
-def _profiles_highprec(r):
-    # independent 50-digit evaluation of the three radial profiles
+def _profiles_highprec(ll):
+    # independent 50-digit evaluation of the three radial profiles at |l|^2 = ll
     with mpmath.workdps(50):
-        rr = mpmath.mpf(r)
-        x = mpmath.pi * rr
+        q = mpmath.mpf(int(ll))
+        x = mpmath.pi * mpmath.sqrt(q)
         sinc = mpmath.sin(x) / x
         a = 8 * mpmath.pi * (1 - sinc)
-        b = 4 * mpmath.pi * (mpmath.cos(x) - sinc) / rr**2
-        c = -4 * mpmath.pi * (mpmath.cos(x) + 2 - 3 * sinc) / rr**4
+        b = 4 * mpmath.pi * (mpmath.cos(x) - sinc) / q
+        c = -4 * mpmath.pi * (mpmath.cos(x) + 2 - 3 * sinc) / q**2
         return float(a), float(b), float(c)
 
 
-def test_series_branch_is_seamless():
-    # the series takes over below x = pi r = 1e-3; straddle that switch.
-    # A and B lose ~1e-9 relative to cancellation on the direct side, so a
-    # 1e-7 tolerance still separates a wrong series (>=1e-6) from roundoff.
-    # C_scale's numerator is O(x^4) ~ 1.7e-14 there, leaving only ~4e-2
-    # relative accuracy on the direct side: the loose check below can catch
-    # a sign or wrong-power error but nothing finer (the high-precision
-    # comparison handles the rest away from the seam).
-    r0 = 1e-3 / np.pi
-    a1, b1, c1 = coulomb_profiles(np.array(r0 * (1 + 1e-9)))
-    a2, b2, c2 = coulomb_profiles(np.array(r0 * (1 - 1e-9)))
-    assert a1 == pytest.approx(a2, rel=1e-7)
-    assert b1 == pytest.approx(b2, rel=1e-7)
-    assert c1 == pytest.approx(c2, rel=0.15)
-
-
 def test_profiles_match_high_precision():
-    # series side (x = pi r < 1e-3): truncation after x^6 costs < 1e-15
-    for r in (1e-4, 2.5e-4, 3.1e-4):
-        a, b, c = coulomb_profiles(np.array(r))
-        ae, be, ce = _profiles_highprec(r)
-        assert a == pytest.approx(ae, rel=1e-13)
-        assert b == pytest.approx(be, rel=1e-13)
-        assert c == pytest.approx(ce, rel=1e-12)
-    # direct side, far enough out that C's cancellation stays below 1e-11
-    for r in (0.1, 0.3, 0.8, 1.4):
-        a, b, c = coulomb_profiles(np.array(r))
-        ae, be, ce = _profiles_highprec(r)
-        assert a == pytest.approx(ae, rel=1e-13)
-        assert b == pytest.approx(be, rel=1e-13)
-        assert c == pytest.approx(ce, rel=1e-10)
+    # the Coulomb profiles on every distinct nonzero radius of P = 48.  B
+    # alone loses up to ~5e-12 relative where cos x ~ sinc x, so, as in
+    # kernel-check's profile row, the defect is relative to beta's size at
+    # |m| = |l|: |A| + |B||l|^2 + |Cs||l|^4.
+    q = _distinct_ll(48)[1:]
+    qf = q.astype(float)
+    ref = np.array([_profiles_highprec(v) for v in q]).T
+    w = np.stack([np.ones_like(qf), qf, qf * qf])
+    dev = np.abs(radial_profiles(q, -3.0, 8.0) - ref) * w / np.sum(np.abs(ref) * w, axis=0)
+    assert np.max(dev) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +249,7 @@ def test_tables_independent_of_grid(gamma):
     t8 = build_kernel_tables(GridSpec(L=8.0, P=8, gamma=gamma))
     t16 = build_kernel_tables(GridSpec(L=8.0, P=16, gamma=gamma))
     shared = np.ix_(*[np.r_[0:4, 12:16]] * 3)  # modes -4..3 in FFT order
-    for a, b in zip([t8.A, t8.B] + t8.c_list(), [t16.A, t16.B] + t16.c_list()):
+    for a, b in zip([t8.A, t8.B, t8.Cs], [t16.A, t16.B, t16.Cs]):
         assert np.max(np.abs(a - b[shared])) <= 1e-12 * np.max(np.abs(a))
 
 
@@ -292,24 +258,16 @@ def test_coulomb_tables_bit_identical_to_full_grid_formula():
     # profiles, scattered, must reproduce it bit for bit
     P = 16
     k = _mode_ints(P)
-    K1 = k[:, None, None]
-    K2 = k[None, :, None]
-    K3 = k[None, None, :]
-    ll = (K1 * K1 + K2 * K2 + K3 * K3).astype(np.int64)
-    ll_f = ll.astype(np.float64)
+    ll = (k[:, None, None] ** 2 + k[None, :, None] ** 2 + k[None, None, :] ** 2).astype(float)
     zero = ll == 0
-    x = np.pi * np.sqrt(np.where(zero, 1.0, ll_f))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        A = 8.0 * np.pi * _one_minus_sinc(x)
-        B = 4.0 * np.pi * _cos_minus_sinc(x) / ll_f
-        Cs = -4.0 * np.pi * _ramp_c(x) / (ll_f * ll_f)
-    A = np.where(zero, 0.0, A)
-    B = np.where(zero, -4.0 * np.pi**3 / 3.0, B)
-    Cs = np.where(zero, 0.0, Cs)
-    expected = [A, B, Cs * (K1 * K1), Cs * (K2 * K2), Cs * (K3 * K3),
-                Cs * (K1 * K2), Cs * (K1 * K3), Cs * (K2 * K3)]
+    q = np.where(zero, 1.0, ll)
+    x = np.pi * np.sqrt(q)
+    s, c = np.sin(x), np.cos(x)
+    A = np.where(zero, 0.0, 8.0 * np.pi * (1.0 - s / x))
+    B = np.where(zero, -4.0 * np.pi**3 / 3.0, 4.0 * np.pi * (c - s / x) / q)
+    Cs = np.where(zero, 0.0, -4.0 * np.pi * (c + 2.0 - 3.0 * s / x) / (q * q))
     t = build_kernel_tables(GridSpec(L=1.8, P=P, gamma=-3.0))
-    for got, want in zip([t.A, t.B] + t.c_list(), expected):
+    for got, want in zip([t.A, t.B, t.Cs], [A, B, Cs]):
         assert np.array_equal(got, want)
 
 
@@ -317,8 +275,7 @@ def test_table_zero_mode_entries(tables_for):
     t = tables_for(GridSpec(L=8.0, P=8, gamma=-3.0))
     assert t.A[0, 0, 0] == 0.0
     assert t.B[0, 0, 0] == pytest.approx(-4 * PI**3 / 3, rel=1e-15)
-    for c in (t.C11, t.C22, t.C33, t.C12, t.C13, t.C23):
-        assert c[0, 0, 0] == 0.0
+    assert t.Cs[0, 0, 0] == 0.0
 
 
 def test_tables_have_fft_ordering(tables_for):
@@ -336,9 +293,9 @@ def test_save_load_roundtrip(tmp_path, tables_for):
     save_tables(path, t)
     back = load_tables(path)
     assert back.gamma == t.gamma and back.L == t.L and back.P == t.P
-    for a, b in zip(t.c_list(), back.c_list()):
+    for a, b in zip([t.A, t.B, t.Cs], [back.A, back.B, back.Cs]):
         assert np.array_equal(a, b)
-    assert np.array_equal(back.A, t.A) and np.array_equal(back.B, t.B)
+    assert path.stat().st_size == _LSKT_HEADER.size + 3 * 8 * 8**3
 
 
 def test_load_rejects_corrupt_header(tmp_path, tables_for):
@@ -374,6 +331,22 @@ def test_build_or_load_uses_cache(tmp_path):
     other = build_or_load_tables(GridSpec(L=4.0, P=4, gamma=-3.0), path)
     assert other.L == 4.0
     assert load_tables(path).L == 4.0
+
+
+def test_version1_cache_is_rejected_and_rebuilt(tmp_path):
+    # a version-1 file stored A, B and the six C_ij: eight arrays
+    grid = GridSpec(L=8.0, P=4, gamma=-3.0)
+    path = tmp_path / "cache.lskt"
+    header = _LSKT_HEADER.pack(b"LSKT", 1, grid.gamma, grid.L, grid.P)
+    path.write_bytes(header + np.zeros(8 * 4**3).tobytes())
+    with pytest.raises(TableCacheError, match="version 1"):
+        load_tables(path)
+    t = build_or_load_tables(grid, path)
+    assert path.stat().st_size == _LSKT_HEADER.size + 3 * 8 * 4**3
+    back = load_tables(path)
+    assert _LSKT_HEADER.unpack(path.read_bytes()[: _LSKT_HEADER.size])[1] == 2
+    for a, b in zip([t.A, t.B, t.Cs], [back.A, back.B, back.Cs]):
+        assert np.array_equal(a, b)
 
 
 def test_params_validation():

@@ -15,7 +15,6 @@ from landau_spectral.spectral import (
     convolve_pairs,
     get_fft_workers,
     padded_size,
-    parseval_l2,
     project,
     psi_R,
     read_snapshot,
@@ -100,7 +99,6 @@ def test_parseval_ties_both_norms(rng):
     f = to_physical(fhat)
     # the projection removed the Nyquist content, so compare after synthesis
     assert f.l2() == pytest.approx(fhat.l2(), rel=1e-12)
-    assert parseval_l2(fhat) == fhat.l2()
 
 
 def test_to_spectral_rejects_bad_grid_size():
@@ -226,7 +224,7 @@ def test_apply_cutoff_removes_exterior_mass():
 # truncated convolution
 # ---------------------------------------------------------------------------
 
-def _brute_convolution(x, y, P, aliased=False):
+def _brute_convolution(x, y, P):
     """Literal double sum over J_N; the exact reference for small P."""
     N = P // 2
     ks = np.fft.fftfreq(P, 1.0 / P).astype(int)
@@ -239,8 +237,6 @@ def _brute_convolution(x, y, P, aliased=False):
             continue
         for m in modes:
             s = (l[0] + m[0], l[1] + m[1], l[2] + m[2])
-            if aliased:
-                s = tuple(((c + N) % P) - N for c in s)
             if all(-N <= c < N for c in s):
                 out[s[0] % P, s[1] % P, s[2] % P] += xl * y[m[0] % P, m[1] % P, m[2] % P]
     return out
@@ -251,22 +247,9 @@ def test_truncated_convolution_matches_brute_force(rng):
     x = to_spectral(PhysicalField(rng.standard_normal((4, 4, 4)), grid))
     y = to_spectral(PhysicalField(rng.standard_normal((4, 4, 4)), grid))
     want = _brute_convolution(x.data, y.data, 4)
-    got = truncated_convolution(x, y, padding="exact")
+    got = truncated_convolution(x, y)
     scale = np.max(np.abs(want))
     assert np.max(np.abs(got.data - want)) < 1e-13 * scale
-
-
-def test_aliased_convolution_folds_images(rng):
-    grid = _grid(P=4, L=1.0, padding="aliased")
-    x = to_spectral(PhysicalField(rng.standard_normal((4, 4, 4)), grid))
-    y = to_spectral(PhysicalField(rng.standard_normal((4, 4, 4)), grid))
-    want = _brute_convolution(x.data, y.data, 4, aliased=True)
-    got = truncated_convolution(x, y)  # padding from the grid
-    scale = np.max(np.abs(want))
-    assert np.max(np.abs(got.data - want)) < 1e-13 * scale
-    # and it differs from the exact sum (the images are real for this input)
-    exact = truncated_convolution(x, y, padding="exact")
-    assert np.max(np.abs(got.data - exact.data)) > 1e-6 * scale
 
 
 def test_convolution_delta_shift(rng):
@@ -275,7 +258,7 @@ def test_convolution_delta_shift(rng):
     x = to_spectral(PhysicalField(rng.standard_normal((8, 8, 8)), grid))
     d = SpectralField.zeros(grid)
     d.data[0, 0, 1] = 1.0
-    z = truncated_convolution(x, d, padding="exact")
+    z = truncated_convolution(x, d)
     N = grid.N
     ks = np.fft.fftfreq(8, 1.0 / 8).astype(int)
     for k3 in ks:
@@ -295,7 +278,7 @@ def test_hermitian_engine_matches_complex(rng):
     grid = _grid(P=8, L=2.0)
     x = to_spectral(PhysicalField(rng.standard_normal((8, 8, 8)), grid))
     y = to_spectral(PhysicalField(rng.standard_normal((8, 8, 8)), grid))
-    want = truncated_convolution(x, y, padding="exact").data
+    want = truncated_convolution(x, y).data
     got = convolve_pairs([(x.data, y.data)], grid.P, 2 * grid.P, hermitian=True)
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
@@ -309,8 +292,8 @@ def test_hermitian_engine_accumulates_pairs(rng):
     pairs = [(fields[0].data, fields[1].data), (fields[2].data, fields[3].data)]
     got = convolve_pairs(pairs, grid.P, 2 * grid.P, hermitian=True)
     want = (
-        truncated_convolution(fields[0], fields[1], padding="exact").data
-        + truncated_convolution(fields[2], fields[3], padding="exact").data
+        truncated_convolution(fields[0], fields[1]).data
+        + truncated_convolution(fields[2], fields[3]).data
     )
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
@@ -319,10 +302,6 @@ def test_padded_size_follows_three_halves_rule():
     assert [padded_size(_grid(P=P)) for P in (4, 8, 16, 32, 48)] == [6, 12, 24, 48, 72]
     # 3N = 33 has the factor 11; the next 5-smooth size is 36
     assert padded_size(_grid(P=22)) == 36
-    assert padded_size(_grid(P=16, padding="aliased")) == 16
-    assert padded_size(_grid(P=16), padding="aliased") == 16
-    with pytest.raises(ValueError):
-        padded_size(_grid(P=16), padding="twice")
 
 
 @pytest.mark.parametrize("hermitian", [False, True])
@@ -471,8 +450,6 @@ def test_grid_spec_validation():
         GridSpec(L=1.0, P=8, gamma=2.0)
     with pytest.raises(ValueError):
         GridSpec(L=1.0, P=8, R=1.5)
-    with pytest.raises(ValueError):
-        GridSpec(L=1.0, P=8, padding="reflect")
     with pytest.raises(ValueError):
         GridSpec(L=1.0, P=8, oversample=0)
     with pytest.raises(ValueError):
