@@ -157,9 +157,12 @@ def _convert(key: str, val: str):
             raise ValueError(f"key {key!r} expects an integer, got {val!r}")
     if key in _FLOAT_KEYS:
         try:
-            return float(val)
+            x = float(val)
         except ValueError:
             raise ValueError(f"key {key!r} expects a number, got {val!r}")
+        if not np.isfinite(x):
+            raise ValueError(f"key {key!r} expects a finite number, got {val!r}")
+        return x
     return val
 
 

@@ -7,9 +7,10 @@ The periodized Landau operator acts on Fourier coefficients as
 and since beta is quadratic in m it splits into seven truncated
 convolutions (A, and the six C_ij = Cs l_i l_j with B(l)|m|^2 folded
 into the diagonal C_ii), summed by one FFT engine.  For real states the
-engine zero-pads each factor to Q >= 3N points per axis in pruned
-one-axis passes that skip the all-zero columns
-(``spectral._modes_to_values``).
+engine reads the k3 >= 0 half spectra only and zero-pads each factor to
+Q >= 3N points per axis in pruned one-axis passes that skip the all-zero
+columns (``spectral._convolve_real``); the scheme right-hand side carries
+the state as that half through all three stages.
 The direct double-sum evaluator is retained as an O(P^6) oracle for
 small P.
 """
@@ -21,10 +22,17 @@ from functools import lru_cache
 import numpy as np
 
 from .kernel import KernelTables, beta_coulomb
-from .spectral import (
+# apply_cutoff and project stay importable here only because perfbench/launch.py
+# wraps them at this spot; q_scheme_rhs no longer calls them, so their spans
+# (spectral.apply_cutoff_*, spectral.project_s) read 0
+from .spectral import (  # noqa: F401
     ShapeMismatchError,
     SpectralField,
+    _assemble,
+    _convolve_real,
+    _cutoff_half,
     _mode_ints,
+    _project_half,
     apply_cutoff,
     convolve_pairs,
     padded_size,
@@ -37,10 +45,11 @@ class CostGuardError(RuntimeError):
 
 
 @lru_cache(maxsize=32)
-def _m_broadcast(P: int):
-    """Float mode coordinates shaped for broadcasting along each axis."""
+def _m_broadcast(P: int, K: int):
+    """Float mode coordinates shaped for broadcasting along each axis of a
+    (P, P, K) array (K = P, or N for a k3 >= 0 half)."""
     k = _mode_ints(P).astype(np.float64)
-    return k[:, None, None], k[None, :, None], k[None, None, :]
+    return k[:, None, None], k[None, :, None], k[None, None, :K]
 
 
 def _check_compatible(ghat: SpectralField, hhat: SpectralField, tables: KernelTables):
@@ -60,10 +69,13 @@ def _term_pairs(gdata: np.ndarray, hdata: np.ndarray, tables: KernelTables):
     C_ii + B; off-diagonal tensor terms carry their symmetry factor 2.
 
     l and m run over the same mode integers, so the mode coordinates serve
-    both factors: the first forms C_ij = Cs l_i l_j, the second m_i m_j."""
-    m = _m_broadcast(gdata.shape[0])
-    Cs, B = tables.Cs, tables.B
-    yield tables.A * gdata, hdata
+    both factors: the first forms C_ij = Cs l_i l_j, the second m_i m_j.
+    The operands are (P, P, P) arrays or (P, P, N) k3 >= 0 halves; the
+    tables are read on the same columns."""
+    P, _, K = gdata.shape
+    m = _m_broadcast(P, K)
+    A, B, Cs = tables.A[:, :, :K], tables.B[:, :, :K], tables.Cs[:, :, :K]
+    yield A * gdata, hdata
     for i in range(3):
         yield (Cs * (m[i] * m[i]) + B) * gdata, (m[i] * m[i]) * hdata
     for i, j in ((0, 1), (0, 2), (1, 2)):
@@ -76,13 +88,17 @@ def q_periodic_fast(
     """FFT evaluation of Qhat(g, h) on J_N.
 
     Works for arbitrary complex coefficients; ``hermitian=True`` states that
-    both operands are projected real fields and selects real transforms.
-    Padded by the 3/2 rule, this is the literal double sum to rounding.
+    both operands are projected real fields and selects real transforms,
+    which read and form products on the k3 >= 0 halves only.  The result
+    is unprojected.  Padded by the 3/2 rule, this is the literal double sum
+    to rounding.
     """
     _check_compatible(ghat, hhat, tables)
     grid = ghat.grid
-    pairs = _term_pairs(ghat.data, hhat.data, tables)
-    out = convolve_pairs(pairs, grid.P, padded_size(grid), hermitian)
+    g, h = ghat.data, hhat.data
+    if hermitian:
+        g, h = g[:, :, : grid.N], h[:, :, : grid.N]
+    out = convolve_pairs(_term_pairs(g, h, tables), grid.P, padded_size(grid), hermitian)
     out /= (2.0 * grid.L) ** 3
     return SpectralField(out, grid)
 
@@ -161,11 +177,20 @@ def q_scheme_rhs(fhat: SpectralField, grid, tables: KernelTables) -> SpectralFie
 
     Computes P_N( P_N(Qhat(F, F)) psi_R ) with F = P_N(f psi_R), i.e. the
     velocity cutoff is applied to the state before the collision and to
-    the result after it, with a Galerkin projection at every stage.  The
-    state is real and F is projected, so the real-transform engine is used.
+    the result after it, with a Galerkin projection at every stage.
+
+    The state must be real: only its k3 >= 0 half ``fhat.data[:, :, :N]``
+    is read, and it is not checked for Hermitian symmetry (``to_physical``
+    and ``apply_cutoff`` check at the public boundary).  Every stage runs
+    on (P, P, N) halves and zeroes its Nyquist rows in place; the whole
+    (P, P, P) array is assembled once, at the end.  The result equals
+    ``project(apply_cutoff(project(q_periodic_fast(F, F, tables,
+    hermitian=True))))`` with ``F = project(apply_cutoff(fhat))``.
     """
     if fhat.grid != grid:
         raise ShapeMismatchError("state grid differs from the requested grid")
-    F = project(apply_cutoff(fhat))
-    U = q_periodic_fast(F, F, tables, hermitian=True)
-    return project(apply_cutoff(project(U)))
+    _check_compatible(fhat, fhat, tables)
+    F = _cutoff_half(fhat.data, grid)
+    U = _convolve_real(_term_pairs(F, F, tables), grid.P, padded_size(grid))
+    U /= (2.0 * grid.L) ** 3
+    return SpectralField(_assemble(_cutoff_half(_project_half(U), grid)), grid)

@@ -19,6 +19,7 @@ from .spectral import (
     GridSpec,
     PhysicalField,
     SpectralField,
+    _half_to_values,
     _mode_ints,
     to_physical,
     velocity_axis,
@@ -123,17 +124,24 @@ def relative_entropy(f: PhysicalField, mu: PhysicalField, eps: float = EPS_POS) 
 
 def fisher(fhat: SpectralField, eps: float = EPS_POS) -> float:
     """Fisher information int |grad f|^2 / f via spectral derivatives."""
+    return _fisher(fhat, to_physical(fhat).data, eps)
+
+
+def _fisher(fhat: SpectralField, f: np.ndarray, eps: float = EPS_POS) -> float:
+    """``fisher`` given the point values f of fhat on the P^3 grid; the
+    derivatives of the (already checked) real field are transformed from
+    their k3 >= 0 halves."""
     grid = fhat.grid
     P = grid.P
+    N = grid.N
     k = _mode_ints(P).astype(np.float64)
-    f = to_physical(fhat).data
+    half = fhat.data[:, :, :N]
     g2 = np.zeros_like(f)
     for axis in range(3):
         shape = [1, 1, 1]
         shape[axis] = P
-        kk = k.reshape(shape)
-        dhat = SpectralField(1j * np.pi / grid.L * kk * fhat.data, grid)
-        g2 += to_physical(dhat).data ** 2
+        kk = k.reshape(shape)[:, :, :N]
+        g2 += _half_to_values(1j * np.pi / grid.L * kk * half, grid, P) ** 2
     w = (2.0 * grid.L / P) ** 3
     mask = f > eps
     return float(np.sum(g2[mask] / f[mask])) * w
@@ -227,7 +235,7 @@ def sample_state(t: float, fhat: SpectralField, exact=None) -> DiagnosticsRecord
         m4=ms.m4,
         entropy=entropy(f),
         rel_entropy=relative_entropy(f, mu),
-        fisher=fisher(fhat),
+        fisher=_fisher(fhat, f.data),
         l2_to_maxwellian=l2_distance(f, mu),
         min_f=float(f.data.min()),
         negative_mass=float(-np.sum(neg)) * w,

@@ -41,10 +41,10 @@ class TimeConfig:
     sample_every: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.t_end < 0:
-            raise ValueError(f"t_end must be nonnegative, got {self.t_end}")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
+        if not (np.isfinite(self.t_end) and self.t_end >= 0):
+            raise ValueError(f"t_end must be finite and nonnegative, got {self.t_end}")
         if self.sample_every < 1:
             raise ValueError(f"sample_every must be >= 1, got {self.sample_every}")
         n = round(self.t_end / self.dt)

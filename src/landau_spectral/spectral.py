@@ -94,8 +94,8 @@ class GridSpec:
             object.__setattr__(self, "R", float(self.L))
         else:
             object.__setattr__(self, "R", float(self.R))
-        if self.L <= 0:
-            raise ValueError(f"L must be positive, got {self.L}")
+        if not (np.isfinite(self.L) and self.L > 0):
+            raise ValueError(f"L must be finite and positive, got {self.L}")
         if self.P < 4 or self.P % 2 != 0:
             raise ValueError(f"P must be even and >= 4, got {self.P}")
         if not -4.0 <= self.gamma <= 1.0:
@@ -227,12 +227,14 @@ def _pad_axis(a: np.ndarray, axis: int, n: int) -> np.ndarray:
 
 
 def _modes_to_values(src: np.ndarray, n: int) -> np.ndarray:
-    """Real values on an n^3 grid from (P,P,P) Hermitian coefficients.
+    """Real values on an n^3 grid from the coefficients of a real field.
 
-    Reads the k3 >= 0 half only (the caller guarantees Hermitian symmetry
-    and zeroed Nyquist planes).  Axis 0 is zero-padded to n and transformed
-    on its P*N columns, then axis 1 on n*N, then a c2r pass runs along
-    axis 2: the 1-D transforms of a full irfftn minus the all-zero ones.
+    Reads the k3 >= 0 half ``src[:, :, :N]`` only, so ``src`` is the whole
+    (P, P, P) array or just that (P, P, N) half (the caller guarantees
+    Hermitian symmetry and zeroed Nyquist planes).  Axis 0 is zero-padded
+    to n and transformed on its P*N columns, then axis 1 on n*N, then a
+    c2r pass runs along axis 2: the 1-D transforms of a full irfftn minus
+    the all-zero ones.
     """
     P = src.shape[0]
     a = src[:, :, : P // 2]
@@ -242,32 +244,91 @@ def _modes_to_values(src: np.ndarray, n: int) -> np.ndarray:
     return _sfft.irfftn(a, s=(n,), axes=(2,), workers=_fft_workers)
 
 
-def _values_to_modes(vals: np.ndarray, P: int) -> np.ndarray:
-    """DFT values at the modes J_N of real samples on an n^3 grid.
+def _values_to_rows(vals: np.ndarray, P: int) -> np.ndarray:
+    """DFT of real samples on an n^3 grid at k3 = 0..N and, on axes 0 and 1,
+    the rows k = -N..N (all n = P rows when there is nothing to prune).
 
     The mirror image of ``_modes_to_values``: an r2c pass along axis 2
     keeps k3 = 0..N, then passes along axes 0 and 1 each keep the rows
     k = -N..N.  The k = +N row is the conjugate partner of the k = -N
-    Nyquist row.  Negative k3 are rebuilt from the partner (-k1,-k2,-k3)
-    by conjugation, so the result is exactly Hermitian.
+    Nyquist row.
     """
     N = P // 2
     n = vals.shape[0]
     if n == P:  # nothing to prune
-        a = _sfft.rfftn(vals, axes=(0, 1, 2), workers=_fft_workers)
-    else:
-        keep = np.r_[: N + 1, n - N : n]
-        a = _sfft.rfftn(vals, axes=(2,), workers=_fft_workers)[:, :, : N + 1]
-        a = _sfft.fftn(a, axes=(0,), workers=_fft_workers).take(keep, axis=0)
-        a = _sfft.fftn(a, axes=(1,), overwrite_x=True,  # a is the copy take made
-                       workers=_fft_workers).take(keep, axis=1)
-    M = a.shape[0]  # P + 1 kept rows, or n = P
+        return _sfft.rfftn(vals, axes=(0, 1, 2), workers=_fft_workers)
+    keep = np.r_[: N + 1, n - N : n]
+    a = _sfft.rfftn(vals, axes=(2,), workers=_fft_workers)[:, :, : N + 1]
+    a = _sfft.fftn(a, axes=(0,), workers=_fft_workers).take(keep, axis=0)
+    a = _sfft.fftn(a, axes=(1,), overwrite_x=True,  # a is the copy take made
+                   workers=_fft_workers).take(keep, axis=1)
+    return a
+
+
+def _row_index(P: int, M: int):
+    """Rows of the modes of J_N, and of their negatives, among M kept rows."""
     k = _mode_ints(P)
-    pos, neg = k % M, -k % M
+    return k % M, -k % M
+
+
+def _rows_to_half(a: np.ndarray, P: int) -> np.ndarray:
+    """The (P, P, N) k3 >= 0 half, FFT order, of the kept rows ``a``."""
+    pos, _ = _row_index(P, a.shape[0])
+    return a[np.ix_(pos, pos, np.arange(P // 2))]
+
+
+def _values_to_modes(vals: np.ndarray, P: int) -> np.ndarray:
+    """DFT values at every mode of J_N of real samples on an n^3 grid.
+
+    Unprojected: negative k3 are rebuilt from the partner (-k1,-k2,-k3) of
+    the kept rows by conjugation, the k3 = -N plane from k3 = +N.
+    """
+    N = P // 2
+    a = _values_to_rows(vals, P)
+    _, neg = _row_index(P, a.shape[0])
     out = np.empty((P, P, P), dtype=np.complex128)
-    out[:, :, :N] = a[np.ix_(pos, pos, np.arange(N))]
+    out[:, :, :N] = _rows_to_half(a, P)
     out[:, :, N:] = np.conj(a[np.ix_(neg, neg, np.arange(N, 0, -1))])
     return out
+
+
+def _project_half(half: np.ndarray) -> np.ndarray:
+    """Zero the k1 = -N and k2 = -N rows of a k3 >= 0 half in place (its
+    columns stop short of the k3 = -N plane); returns it."""
+    N = half.shape[0] // 2
+    half[N] = 0.0
+    half[:, N] = 0.0
+    return half
+
+
+def _assemble(half: np.ndarray) -> np.ndarray:
+    """The (P, P, P) coefficients of a real field from its projected k3 >= 0
+    half: the k3 = -N plane is zero and the other negative k3 are the
+    conjugates of their partners (-k1, -k2, -k3)."""
+    P, _, N = half.shape
+    neg = -_mode_ints(P) % P
+    out = np.empty((P, P, P), dtype=np.complex128)
+    out[:, :, :N] = half
+    out[:, :, N] = 0.0
+    out[:, :, N + 1 :] = np.conj(half[np.ix_(neg, neg, np.arange(N - 1, 0, -1))])
+    return out
+
+
+def _half_to_values(src: np.ndarray, grid: GridSpec, n: int) -> np.ndarray:
+    """Point values on the n^3 grid of a real field from its k3 >= 0 half
+    ``src[:, :, :N]`` (``src`` is the whole array or just that half)."""
+    N = grid.N
+    vals = _modes_to_values(src[:, :, :N] * _phase3(grid.P)[:, :, :N], n)
+    vals *= n**3 / (2.0 * grid.L) ** 3
+    return vals
+
+
+def _values_to_half(vals: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Projected k3 >= 0 half of the rectangle-rule coefficients of samples."""
+    P = grid.P
+    half = _rows_to_half(_values_to_rows(vals, P), P)
+    half *= _phase3(P)[:, :, : P // 2] * (2.0 * grid.L / vals.shape[0]) ** 3
+    return _project_half(half)
 
 
 def _check_hermitian(fhat: SpectralField) -> None:
@@ -313,16 +374,14 @@ def to_spectral(field: PhysicalField) -> SpectralField:
     The grid size must be a multiple of P; modes above N-1 are discarded
     (projection) and the Nyquist planes are zeroed.  Above n = P the
     transform runs one axis at a time and keeps only the rows of the
-    modes -N..N after each pass (``_values_to_modes``).
+    modes -N..N after each pass (``_values_to_rows``).  The k3 >= 0 half
+    is computed and the negative k3 are its conjugates (``_assemble``).
     """
     grid = field.grid
     P = grid.P
-    n = field.n
-    if n % P != 0:
-        raise ShapeMismatchError(f"grid size {n} is not a multiple of P={P}")
-    out = _values_to_modes(field.data, P)
-    out *= _phase3(P) * (2.0 * grid.L / n) ** 3
-    return project(SpectralField(out, grid))
+    if field.n % P != 0:
+        raise ShapeMismatchError(f"grid size {field.n} is not a multiple of P={P}")
+    return SpectralField(_assemble(_values_to_half(field.data, grid)), grid)
 
 
 def to_physical(fhat: SpectralField, n: int | None = None) -> PhysicalField:
@@ -330,8 +389,8 @@ def to_physical(fhat: SpectralField, n: int | None = None) -> PhysicalField:
 
     The coefficients must describe a real field; violations of Hermitian
     symmetry beyond 1e-12 (relative) raise ``HermitianSymmetryError``.
-    The transform runs one axis at a time and skips the all-zero columns
-    of the zero-padded spectrum (``_modes_to_values``).
+    Only the k3 >= 0 half is transformed, one axis at a time, skipping
+    the all-zero columns of the zero-padded spectrum (``_modes_to_values``).
     """
     grid = fhat.grid
     P = grid.P
@@ -340,9 +399,7 @@ def to_physical(fhat: SpectralField, n: int | None = None) -> PhysicalField:
     if n % P != 0 or n < P:
         raise ShapeMismatchError(f"output grid size {n} is not a multiple of P={P}")
     _check_hermitian(fhat)
-    vals = _modes_to_values(fhat.data * _phase3(P), n)
-    vals *= n**3 / (2.0 * grid.L) ** 3
-    return PhysicalField(vals, grid)
+    return PhysicalField(_half_to_values(fhat.data, grid, n), grid)
 
 
 def psi_R(v, grid: GridSpec):
@@ -387,15 +444,28 @@ def apply_cutoff(fhat: SpectralField) -> SpectralField:
     The product is collocated on an oversample*P grid so that the
     quadrature behind the projection sees the C^0 kink of the cutoff at
     sub-grid resolution.  With cutoff_shape == "none" the input is
-    returned unchanged.
+    returned unchanged.  The coefficients must describe a real field
+    (checked as in ``to_physical``); the work runs on k3 >= 0 halves
+    (``_cutoff_half``).
     """
     grid = fhat.grid
     if grid.cutoff_shape == "none":
         return fhat
+    _check_hermitian(fhat)
+    return SpectralField(_assemble(_cutoff_half(fhat.data, grid)), grid)
+
+
+def _cutoff_half(src: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Projected k3 >= 0 half of P_N(u psi_R), read from the k3 >= 0 half
+    ``src[:, :, :N]`` of a real field u; ``src`` is left as it is.  With
+    cutoff_shape == "none" this is a projected copy of that half."""
+    half = src[:, :, : grid.N]
+    if grid.cutoff_shape == "none":
+        return _project_half(half.copy())
     n = grid.oversample * grid.P
-    phys = to_physical(fhat, n)
-    phys.data *= _psi_grid_values(grid, n)
-    return to_spectral(phys)
+    vals = _half_to_values(half, grid, n)
+    vals *= _psi_grid_values(grid, n)
+    return _values_to_half(vals, grid)
 
 
 def padded_size(grid: GridSpec) -> int:
@@ -409,10 +479,8 @@ def padded_size(grid: GridSpec) -> int:
     return _sfft.next_fast_len(3 * grid.N, real=True)
 
 
-def _padded_values(coeffs: np.ndarray, Q: int, hermitian: bool) -> np.ndarray:
+def _padded_values(coeffs: np.ndarray, Q: int) -> np.ndarray:
     """Inverse DFT of (P,P,P) coefficients zero-padded to a Q^3 grid."""
-    if hermitian:
-        return _modes_to_values(coeffs, Q)
     idx = _embed_idx(coeffs.shape[0], Q)
     big = np.zeros((Q, Q, Q), dtype=np.complex128)
     big[np.ix_(idx, idx, idx)] = coeffs
@@ -425,22 +493,40 @@ def convolve_pairs(pairs, P: int, Q: int, hermitian: bool = False) -> np.ndarray
     The products of the padded point values share one accumulator and one
     forward transform.  Q >= 3N gives the literal truncated sums; Q < 3N
     aliases (``padded_size``).  ``hermitian`` operands must be
-    coefficients of real fields (Hermitian, zero Nyquist planes) and run on
-    real-FFT half spectra, one axis at a time and skipping the all-zero
-    columns of the zero-padded spectra (``_modes_to_values``,
-    ``_values_to_modes``); otherwise any coefficients go through full
-    complex transforms.
+    coefficients of real fields (Hermitian, zero Nyquist planes); only
+    their k3 >= 0 halves are read (``_convolve_real``) and the result is
+    unprojected.  Otherwise any coefficients go through full complex
+    transforms.
+    """
+    if hermitian:
+        return _convolve_real(pairs, P, Q, full=True)
+    acc = None
+    for x, y in pairs:
+        prod = _padded_values(x, Q)
+        prod *= _padded_values(y, Q)
+        acc = prod if acc is None else np.add(acc, prod, out=acc)
+    idx = _embed_idx(P, Q)
+    out = _fftn(acc)[np.ix_(idx, idx, idx)]
+    out *= float(Q) ** 3
+    return out
+
+
+def _convolve_real(pairs, P: int, Q: int, full: bool = False) -> np.ndarray:
+    """sum_t conv(x_t, y_t) for coefficients (x_t, y_t) of real fields, read
+    from their k3 >= 0 halves (whole arrays or (P, P, N) halves).
+
+    Each factor is zero-padded to Q points per axis by pruned one-axis
+    passes (``_modes_to_values``), the products share one accumulator, and
+    one pruned forward pass (``_values_to_rows``) reads the modes back:
+    the unprojected k3 >= 0 half, or with ``full`` the whole unprojected
+    (P, P, P) array (``_values_to_modes``).
     """
     acc = None
     for x, y in pairs:
-        prod = _padded_values(x, Q, hermitian)
-        prod *= _padded_values(y, Q, hermitian)
+        prod = _modes_to_values(x, Q)
+        prod *= _modes_to_values(y, Q)
         acc = prod if acc is None else np.add(acc, prod, out=acc)
-    if hermitian:
-        out = _values_to_modes(acc, P)
-    else:
-        idx = _embed_idx(P, Q)
-        out = _fftn(acc)[np.ix_(idx, idx, idx)]
+    out = _values_to_modes(acc, P) if full else _rows_to_half(_values_to_rows(acc, P), P)
     out *= float(Q) ** 3
     return out
 

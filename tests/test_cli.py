@@ -89,6 +89,20 @@ def test_config_validation():
     RunConfig(init="file:whatever.lsfd")
 
 
+@pytest.mark.parametrize("key,val", [("t_end", "inf"), ("dt", "nan"), ("dt", "inf"),
+                                     ("L", "nan")])
+def test_non_finite_config_values_fail_at_parse_time(tmp_path, capsys, key, val):
+    # each used to fail late or with a crash: an OverflowError traceback
+    # (t_end = inf), a bare float-conversion message (dt = nan), no error at
+    # all (dt = inf), or an error blaming R (L = nan)
+    with pytest.raises(ConfigError, match=f"line 1: key '{key}' expects a finite number"):
+        RunConfig.parse(f"{key}={val}\n")
+    assert main(["run", str(_write_cfg(tmp_path, **{key: val}))]) == 1
+    err = capsys.readouterr().err
+    assert f"key '{key}' expects a finite number, got '{val}'" in err
+    assert "Traceback" not in err
+
+
 def test_resolve_threads(monkeypatch):
     monkeypatch.delenv(THREADS_ENV, raising=False)
     assert _resolve_threads(3) == 3

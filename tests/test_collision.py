@@ -16,6 +16,7 @@ from landau_spectral.spectral import (
     PhysicalField,
     ShapeMismatchError,
     SpectralField,
+    apply_cutoff,
     convolve_pairs,
     padded_size,
     project,
@@ -221,6 +222,32 @@ def test_scheme_rhs_is_real_and_projected(tables_for, rng):
     rev = (P - np.arange(P)) % P
     defect = np.max(np.abs(rhs.data - np.conj(rhs.data[np.ix_(rev, rev, rev)])))
     assert defect < 1e-12 * np.max(np.abs(rhs.data))
+
+
+@pytest.mark.parametrize("P", [8, 16, 32])
+@pytest.mark.parametrize("shape", ["paper", "smooth", "none"])
+def test_scheme_rhs_equals_the_public_stage_composition(P, shape, tables_for, rng):
+    # the half-spectrum right-hand side is bit for bit the composition of the
+    # public full-array stages.  The input's Nyquist planes are nonzero: at
+    # 1e-13 of the scale, which apply_cutoff's Hermitian check accepts and
+    # whose k1, k2 = -N rows its inverse transform reads; with no cutoff,
+    # at full size (both sides project them away)
+    grid = _grid(P=P, L=1.8, cutoff_shape=shape)
+    tables = tables_for(grid)
+    f = _hermitian(grid, rng, scale=0.1).data + 1.0
+    N = grid.N
+    size = 1.0 if shape == "none" else 1e-13 * np.max(np.abs(f))
+    for axis in range(3):
+        nyq = [slice(None)] * 3
+        nyq[axis] = N
+        f[tuple(nyq)] = size * rng.standard_normal((P, P))
+    f = SpectralField(f, grid)
+    kept = f.data.copy()
+    F = project(apply_cutoff(f))
+    want = project(apply_cutoff(project(q_periodic_fast(F, F, tables, hermitian=True))))
+    got = q_scheme_rhs(f, grid, tables)
+    assert np.array_equal(got.data, want.data)
+    assert np.array_equal(f.data, kept)
 
 
 def test_scheme_rhs_grid_mismatch_raises(tables_for, rng):

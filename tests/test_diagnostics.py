@@ -224,6 +224,26 @@ def test_sample_state_values():
     assert rec2.e1 > 0.0 and rec2.e2 > 0.0
 
 
+def test_sample_state_transforms_the_state_once(monkeypatch):
+    # one checked inverse transform per sample; the Fisher information reuses
+    # its values and equals the public fisher() bit for bit
+    import landau_spectral.diagnostics as diagnostics
+
+    calls = []
+    inverse = diagnostics.to_physical
+
+    def counted(fhat, n=None):
+        calls.append(n)
+        return inverse(fhat, n)
+
+    grid = GridSpec(L=8.0, P=16, gamma=0.0, cutoff_shape="none")
+    fhat = to_spectral(PhysicalField(bkw(0.0, _vgrid(grid), BkwParams()), grid))
+    monkeypatch.setattr(diagnostics, "to_physical", counted)
+    rec = sample_state(0.25, fhat)
+    assert calls == [None]
+    assert rec.fisher == fisher(fhat)
+
+
 def test_csv_layout_and_round_trip(tmp_path):
     rec = _bkw_record(with_exact=True)
     bare = _bkw_record()

@@ -44,6 +44,14 @@ def test_time_config_validation():
     assert TimeConfig(dt=0.1, t_end=0.7).n_steps == 7
 
 
+@pytest.mark.parametrize("dt,t_end", [(0.05, np.inf), (np.nan, 1.0), (np.inf, 1.0),
+                                      (0.05, np.nan)])
+def test_time_config_rejects_non_finite_values(dt, t_end):
+    # ValueError, not the OverflowError or NaN conversion error of round()
+    with pytest.raises(ValueError, match="must be finite"):
+        TimeConfig(dt=dt, t_end=t_end)
+
+
 # ---------------------------------------------------------------------------
 # the RK4 tableau
 # ---------------------------------------------------------------------------

@@ -1,5 +1,10 @@
 """Collision kernel coefficients: closed forms, quadrature, tables, caching."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import mpmath
 import numpy as np
 import pytest
@@ -363,3 +368,25 @@ def test_params_validation():
 def test_integer_modes_required():
     with pytest.raises(ValueError):
         beta_coulomb([0.5, 0, 0], [1, 0, 0])
+
+
+def test_closed_form_tables_do_not_import_scipy_integrate():
+    # gamma = -3 and 0 never integrate, so a CLI process that builds only
+    # their tables must not pay for importing scipy.integrate
+    code = (
+        "import sys\n"
+        "import landau_spectral.cli\n"
+        "from landau_spectral.kernel import build_kernel_tables\n"
+        "from landau_spectral.spectral import GridSpec\n"
+        "for gamma in (-3.0, 0.0):\n"
+        "    build_kernel_tables(GridSpec(L=8.0, P=8, gamma=gamma))\n"
+        "assert 'scipy.integrate' not in sys.modules, 'imported too early'\n"
+        "t = build_kernel_tables(GridSpec(L=8.0, P=8, gamma=-2.5))\n"
+        "assert 'scipy.integrate' in sys.modules and t.A.shape == (8, 8, 8)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -413,6 +413,46 @@ def test_hermitian_engine_unprojected_output_matches_complex(rng, P):
     assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
 
+def test_padded_transforms_are_pure_across_grids_and_workers(rng):
+    # the padded inverse transforms its pad copies in place (and reads the
+    # input itself at n = P); runs interleaved over grids, sizes and worker
+    # counts must repeat their first results exactly and leave inputs alone
+    from landau_spectral.collision import q_scheme_rhs
+    from landau_spectral.kernel import build_kernel_tables
+
+    sizes = {P: sorted({P, 2 * P, 3 * P, padded_size(_grid(P=P))}) for P in (10, 16)}
+    cases = [(P, sizes[P][i], w) for w in (1, 2) for i in range(4) for P in (10, 16)]
+    grids = {P: _grid(P=P, L=1.8, oversample=3) for P in (10, 16)}
+    tables = {P: build_kernel_tables(g) for P, g in grids.items()}
+    src = {P: _hermitian_modes(rng, P) for P in grids}
+    state = {P: to_spectral(PhysicalField(rng.standard_normal((P,) * 3) + 2.0, g))
+             for P, g in grids.items()}
+
+    def results(P, n):
+        g, f = grids[P], state[P]
+        out = [_modes_to_values(src[P], n), apply_cutoff(f).data,
+               q_scheme_rhs(f, g, tables[P]).data]
+        if n % P == 0:
+            out.append(to_physical(f, n).data)
+        return out
+
+    kept = {P: (src[P].copy(), state[P].data.copy()) for P in grids}
+    want = {}
+    try:
+        for P, n, w in cases:
+            set_fft_workers(w)
+            want[P, n, w] = results(P, n)
+        for P, n, w in cases + cases[::-1]:
+            set_fft_workers(w)
+            for a, b in zip(results(P, n), want[P, n, w]):
+                assert np.array_equal(a, b)
+        for P in grids:
+            assert np.array_equal(src[P], kept[P][0])
+            assert np.array_equal(state[P].data, kept[P][1])
+    finally:
+        set_fft_workers(1)
+
+
 # ---------------------------------------------------------------------------
 # field containers
 # ---------------------------------------------------------------------------
@@ -456,6 +496,12 @@ def test_grid_spec_validation():
         GridSpec(L=1.0, P=8, cutoff_shape="boxcar")
     g = GridSpec(L=2.0, P=8)
     assert g.R == 2.0 and g.N == 4
+
+
+def test_grid_spec_blames_a_non_finite_box_on_L():
+    for L in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="L must be finite"):
+            GridSpec(L=L, P=8)
 
 
 def test_fft_worker_setting():
