@@ -30,14 +30,10 @@ from .kernel import (
     BetaParams,
     KernelTables,
     QuadratureError,
-    TableCacheError,
     beta_coulomb,
     beta_from_tables,
     beta_quadrature,
     build_kernel_tables,
-    build_or_load_tables,
-    load_tables,
-    save_tables,
 )
 from .spectral import (
     GridSpec,
@@ -78,7 +74,6 @@ __all__ = [
     "ShellParams",
     "SnapshotFormatError",
     "SpectralField",
-    "TableCacheError",
     "TimeConfig",
     "apply_cutoff",
     "beta_coulomb",
@@ -86,14 +81,12 @@ __all__ = [
     "beta_quadrature",
     "bkw",
     "build_kernel_tables",
-    "build_or_load_tables",
     "coulomb_shell",
     "entropy",
     "error_norms",
     "fisher",
     "initial_state",
     "l2_distance",
-    "load_tables",
     "maxwellian_of",
     "moments",
     "project",
@@ -106,7 +99,6 @@ __all__ = [
     "rk4_step",
     "run",
     "sample_state",
-    "save_tables",
     "set_fft_workers",
     "to_physical",
     "to_spectral",

@@ -23,14 +23,12 @@ from .integrator import BlowUpError, TimeConfig, initial_state, run
 from .kernel import (
     BetaParams,
     QuadratureError,
-    TableCacheError,
     _profiles_from_integrals,
     _radial_F,
     beta_coulomb,
     beta_from_tables,
     beta_quadrature,
     build_kernel_tables,
-    build_or_load_tables,
     radial_profiles,
 )
 from .spectral import (
@@ -51,6 +49,9 @@ from .spectral import (
 )
 
 THREADS_ENV = "LANDAU_SPECTRAL_THREADS"
+
+# kept only as the name perfbench/launch.py wraps to time table builds (kernel.build_s)
+build_or_load_tables = build_kernel_tables
 
 
 class ConfigError(ValueError):
@@ -76,7 +77,6 @@ class RunConfig:
     shell_sigma: float = 0.3
     shell_s: float = 10.0
     quad_tol: float = 1e-10
-    kernel_cache: str = ""
     output_dir: str = "."
     snapshot_every: int = 0
     threads: int = 1
@@ -209,7 +209,7 @@ def cmd_run(cfg: RunConfig) -> int:
     tconf = cfg.time_config()
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    tables = build_or_load_tables(grid, cfg.kernel_cache or None, tol=cfg.quad_tol)
+    tables = build_or_load_tables(grid, tol=cfg.quad_tol)
     fhat0, exact = _build_initial(cfg, grid)
 
     (outdir / "config.txt").write_text(cfg.serialize())
@@ -240,6 +240,8 @@ def cmd_convergence(cfg: RunConfig, grids: list[int]) -> int:
         raise ConfigError("convergence studies need init=bkw (the exact solution)")
     if cfg.gamma != 0.0:
         raise ConfigError("the BKW reference solves the gamma=0 equation; set gamma=0")
+    if not grids:
+        raise ConfigError("--grids lists no grid size")
     for P in grids:
         if P < 4 or P % 2 != 0:
             raise ConfigError(f"grid sizes must be even and >= 4, got {P}")
@@ -250,8 +252,7 @@ def cmd_convergence(cfg: RunConfig, grids: list[int]) -> int:
     for P in grids:
         sub = replace(cfg, P=P)
         grid = sub.grid()
-        cache = f"{cfg.kernel_cache}.P{P}" if cfg.kernel_cache else None  # one per grid
-        tables = build_or_load_tables(grid, cache, tol=cfg.quad_tol)
+        tables = build_or_load_tables(grid, tol=cfg.quad_tol)
         fhat0, exact = _build_initial(sub, grid)
         records = []
         t0 = _time.perf_counter()
@@ -435,7 +436,7 @@ def cmd_oracle_compare(cfg: RunConfig) -> int:
     grid = cfg.grid()
     if grid.P > 16:
         raise ConfigError(f"oracle comparison uses the O(P^6) direct sum; P={grid.P} > 16")
-    tables = build_or_load_tables(grid, cfg.kernel_cache or None, tol=cfg.quad_tol)
+    tables = build_or_load_tables(grid, tol=cfg.quad_tol)
     beta_fn = beta_coulomb if grid.gamma == -3.0 else beta_from_tables(tables)
     rng = np.random.default_rng(745737)
     worst = 0.0
@@ -504,7 +505,7 @@ def main(argv=None) -> int:
             diag.DegenerateStateError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (SnapshotFormatError, TableCacheError) as exc:
+    except SnapshotFormatError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
     except (ConfigError, ShapeMismatchError, CostGuardError, ValueError) as exc:

@@ -56,7 +56,6 @@ as the independent check on both.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -325,63 +324,3 @@ def beta_from_tables(tables: KernelTables):
 
     return beta
 
-
-# ---------------------------------------------------------------------------
-# binary kernel table cache ("LSKT")
-# ---------------------------------------------------------------------------
-
-_LSKT_MAGIC = b"LSKT"
-_LSKT_VERSION = 2  # version 1 stored the six C_ij instead of Cs
-_LSKT_HEADER = struct.Struct("<4sIddI")  # magic, version, gamma, L, modes per dim
-
-
-class TableCacheError(ValueError):
-    """Malformed kernel table cache file."""
-
-
-def save_tables(path, tables: KernelTables) -> None:
-    with open(path, "wb") as fh:
-        fh.write(
-            _LSKT_HEADER.pack(_LSKT_MAGIC, _LSKT_VERSION, tables.gamma, tables.L, tables.P)
-        )
-        for arr in (tables.A, tables.B, tables.Cs):
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
-def load_tables(path) -> KernelTables:
-    with open(path, "rb") as fh:
-        raw = fh.read(_LSKT_HEADER.size)
-        if len(raw) != _LSKT_HEADER.size:
-            raise TableCacheError(f"{path}: truncated header")
-        magic, version, gamma, L, P = _LSKT_HEADER.unpack(raw)
-        if magic != _LSKT_MAGIC:
-            raise TableCacheError(f"{path}: bad magic {magic!r}")
-        if version != _LSKT_VERSION:
-            raise TableCacheError(f"{path}: unsupported version {version}")
-        arrs = []
-        count = P**3
-        for _ in range(3):
-            buf = fh.read(8 * count)
-            if len(buf) != 8 * count:
-                raise TableCacheError(f"{path}: truncated data section")
-            a = np.frombuffer(buf, dtype="<f8")
-            arrs.append(a.reshape(P, P, P).copy())
-    return KernelTables(gamma, L, P, *arrs)
-
-
-def build_or_load_tables(
-    grid: GridSpec, cache_path=None, tol: float = 1e-10, limit: int = 200
-) -> KernelTables:
-    """Load tables from the cache when the key (gamma, L, P) matches, else
-    build them (and refresh the cache if a path was given)."""
-    if cache_path is not None:
-        try:
-            t = load_tables(cache_path)
-        except (FileNotFoundError, TableCacheError):
-            t = None
-        if t is not None and t.gamma == grid.gamma and t.L == grid.L and t.P == grid.P:
-            return t
-    tables = build_kernel_tables(grid, tol=tol, limit=limit)
-    if cache_path is not None:
-        save_tables(cache_path, tables)
-    return tables

@@ -19,6 +19,7 @@ pair.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -571,7 +572,9 @@ def read_snapshot(path):
     """Read a snapshot; returns (values, header_dict).
 
     header_dict has keys P, L, gamma, t.  The caller is responsible for
-    checking P and L against its own grid.
+    checking P and L against its own grid.  The file must hold exactly the
+    P^3 values its header announces; that is checked against the file size
+    before anything is read, so a damaged P cannot ask for a huge buffer.
     """
     with open(path, "rb") as fh:
         raw = fh.read(_LSFD_HEADER.size)
@@ -582,8 +585,11 @@ def read_snapshot(path):
             raise SnapshotFormatError(f"{path}: bad magic {magic!r}")
         if version != _LSFD_VERSION:
             raise SnapshotFormatError(f"{path}: unsupported version {version}")
-        buf = fh.read(8 * P**3)
-        if len(buf) != 8 * P**3:
-            raise SnapshotFormatError(f"{path}: truncated data section")
-        vals = np.frombuffer(buf, dtype="<f8")
+        size = os.fstat(fh.fileno()).st_size - _LSFD_HEADER.size
+        if size != 8 * P**3:
+            raise SnapshotFormatError(
+                f"{path}: header gives P={P}, so {8 * P**3} data bytes, "
+                f"but the file holds {size}"
+            )
+        vals = np.frombuffer(fh.read(size), dtype="<f8")
     return vals.reshape(P, P, P).copy(), {"P": P, "L": L, "gamma": gamma, "t": t}

@@ -13,7 +13,7 @@ from landau_spectral.cli import (
     kernel_check,
     main,
 )
-from landau_spectral.spectral import set_fft_workers
+from landau_spectral.spectral import _LSFD_HEADER, set_fft_workers
 
 
 @pytest.fixture(autouse=True)
@@ -43,7 +43,7 @@ def _write_cfg(tmp_path, name="run.cfg", **over):
 
 def test_config_round_trip():
     cfg = RunConfig(L=2.5, P=16, gamma=-1.0, dt=0.01, t_end=0.1, init="shell",
-                    kernel_cache="tabs.lskt", snapshot_every=5)
+                    snapshot_every=5)
     again = RunConfig.parse(cfg.serialize())
     assert again == cfg
     assert again.R == 2.5  # unset R resolves to L
@@ -69,9 +69,11 @@ def test_config_parse_error_positions():
         RunConfig.parse("L=1.0\nP=8\ndt=fast\n")
     with pytest.raises(ConfigError, match="line 1"):
         RunConfig.parse("just some words\n")
-    # the convolutions always follow the 3/2 rule; there is no padding option
-    with pytest.raises(ConfigError, match="line 1: unknown key 'padding'"):
-        RunConfig.parse("padding=exact\n")
+    # the convolutions always follow the 3/2 rule and every process builds
+    # its own kernel tables: neither option exists, so old configs fail here
+    for key, val in (("padding", "exact"), ("kernel_cache", "tables")):
+        with pytest.raises(ConfigError, match=f"line 1: unknown key '{key}'"):
+            RunConfig.parse(f"{key}={val}\n")
 
 
 def test_config_validation():
@@ -262,40 +264,36 @@ def test_restart_refuses_snapshot_of_another_gamma(tmp_path, capsys):
     assert not (tmp_path / "out2" / "diagnostics.csv").exists()  # no step was taken
 
 
-def test_run_uses_kernel_cache(tmp_path):
-    cache = tmp_path / "tables.lskt"
-    cfg = _write_cfg(tmp_path, kernel_cache=str(cache), t_end=1e-3)
+def test_commands_build_tables_through_the_benchmark_probe(tmp_path, monkeypatch, capsys):
+    # perfbench/launch.py times kernel.build_s by wrapping this module-level
+    # name; a command that bypassed it would leave the span reading 0.  Every
+    # build gets the config's quad_tol.
+    from landau_spectral import cli
+
+    calls = []
+
+    def counting(grid, tol):
+        calls.append((grid.P, tol))
+        return cli.build_kernel_tables(grid, tol=tol)
+
+    monkeypatch.setattr(cli, "build_or_load_tables", counting)
+    cfg = _write_cfg(tmp_path, t_end=1e-3, quad_tol=1e-8)
     assert main(["run", str(cfg)]) == 0
-    assert cache.exists()
-    stamp = cache.stat().st_mtime_ns
-    cfg2 = _write_cfg(tmp_path, name="again.cfg", kernel_cache=str(cache),
-                      t_end=1e-3, output_dir=str(tmp_path / "out2"))
-    assert main(["run", str(cfg2)]) == 0
-    assert cache.stat().st_mtime_ns == stamp  # loaded, not rebuilt
-
-
-def test_convergence_keys_kernel_cache_per_grid(tmp_path, monkeypatch, capsys):
-    from landau_spectral import kernel
-
-    cache = tmp_path / "tables.lskt"
-    cfg = _write_cfg(tmp_path, kernel_cache=str(cache), t_end=1e-3)
+    assert calls == [(8, 1e-8)]
     assert main(["convergence", str(cfg), "--grids", "8,16"]) == 0
-    files = sorted(p.name for p in tmp_path.glob("tables.lskt*"))
-    assert files == ["tables.lskt.P16", "tables.lskt.P8"]
-    for P in (8, 16):
-        assert kernel.load_tables(f"{cache}.P{P}").P == P
-
-    def no_build(*args, **kwargs):
-        raise AssertionError("tables were rebuilt despite a matching cache file")
-
-    monkeypatch.setattr(kernel, "build_kernel_tables", no_build)
-    assert main(["convergence", str(cfg), "--grids", "8,16"]) == 0
+    assert calls == [(8, 1e-8), (8, 1e-8), (16, 1e-8)]
     capsys.readouterr()
 
 
 def test_run_exit_codes(tmp_path, capsys):
     # missing config file -> i/o error
     assert main(["run", str(tmp_path / "nope.cfg")]) == 3
+    # a snapshot whose header claims far more values than the file holds
+    snap = tmp_path / "huge.lsfd"
+    snap.write_bytes(_LSFD_HEADER.pack(b"LSFD", 1, 2**20, 8.0, 0.0, 0.0) + bytes(64))
+    assert main(["run", str(_write_cfg(tmp_path, init=f"file:{snap}"))]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and "P=1048576" in err and "Traceback" not in err
     # malformed config -> validation error
     bad = tmp_path / "bad.cfg"
     bad.write_text("P=eight\n")
@@ -345,7 +343,8 @@ def test_convergence_command(tmp_path, capsys):
 
 def test_convergence_rejects_bad_setups(tmp_path):
     cfg = _write_cfg(tmp_path, t_end=2e-3)
-    assert main(["convergence", str(cfg), "--grids", "7,8"]) == 1
+    for grids in ("7,8", ","):  # an odd size; no size at all
+        assert main(["convergence", str(cfg), "--grids", grids]) == 1
     shell = _write_cfg(tmp_path, name="s.cfg", init="shell")
     assert main(["convergence", str(shell), "--grids", "8"]) == 1
     coul = _write_cfg(tmp_path, name="c.cfg", gamma=-3.0)

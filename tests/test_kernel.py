@@ -1,4 +1,4 @@
-"""Collision kernel coefficients: closed forms, quadrature, tables, caching."""
+"""Collision kernel coefficients: closed forms, quadrature, tables."""
 
 import os
 import subprocess
@@ -14,17 +14,12 @@ from hypothesis import strategies as st
 from landau_spectral.kernel import (
     BetaParams,
     QuadratureError,
-    TableCacheError,
-    _LSKT_HEADER,
     _radial_F,
     beta_coulomb,
     beta_from_tables,
     beta_quadrature,
     build_kernel_tables,
-    build_or_load_tables,
-    load_tables,
     radial_profiles,
-    save_tables,
 )
 from landau_spectral.spectral import GridSpec, _mode_ints
 
@@ -289,69 +284,6 @@ def test_tables_have_fft_ordering(tables_for):
     b = beta_from_tables(t)
     assert b([1, 0, 0], [0, 0, 0]) == pytest.approx(8 * PI, rel=1e-12)
     assert b([-1, 0, 0], [0, 0, 0]) == pytest.approx(8 * PI, rel=1e-12)
-
-
-def test_save_load_roundtrip(tmp_path, tables_for):
-    grid = GridSpec(L=8.0, P=8, gamma=-3.0)
-    t = tables_for(grid)
-    path = tmp_path / "kernel.lskt"
-    save_tables(path, t)
-    back = load_tables(path)
-    assert back.gamma == t.gamma and back.L == t.L and back.P == t.P
-    for a, b in zip([t.A, t.B, t.Cs], [back.A, back.B, back.Cs]):
-        assert np.array_equal(a, b)
-    assert path.stat().st_size == _LSKT_HEADER.size + 3 * 8 * 8**3
-
-
-def test_load_rejects_corrupt_header(tmp_path, tables_for):
-    t = tables_for(GridSpec(L=8.0, P=8, gamma=-3.0))
-    path = tmp_path / "kernel.lskt"
-    save_tables(path, t)
-    raw = bytearray(path.read_bytes())
-    raw[:4] = b"XXXX"
-    path.write_bytes(bytes(raw))
-    with pytest.raises(TableCacheError):
-        load_tables(path)
-
-
-def test_load_rejects_truncated_file(tmp_path, tables_for):
-    t = tables_for(GridSpec(L=8.0, P=8, gamma=-3.0))
-    path = tmp_path / "kernel.lskt"
-    save_tables(path, t)
-    path.write_bytes(path.read_bytes()[:-100])
-    with pytest.raises(TableCacheError):
-        load_tables(path)
-
-
-def test_build_or_load_uses_cache(tmp_path):
-    grid = GridSpec(L=8.0, P=4, gamma=-3.0)
-    path = tmp_path / "cache.lskt"
-    t1 = build_or_load_tables(grid, path)
-    assert path.exists()
-    stamp = path.stat().st_mtime_ns
-    t2 = build_or_load_tables(grid, path)
-    assert path.stat().st_mtime_ns == stamp  # not rebuilt
-    assert np.array_equal(t1.A, t2.A)
-    # parameter mismatch forces a rebuild rather than returning stale data
-    other = build_or_load_tables(GridSpec(L=4.0, P=4, gamma=-3.0), path)
-    assert other.L == 4.0
-    assert load_tables(path).L == 4.0
-
-
-def test_version1_cache_is_rejected_and_rebuilt(tmp_path):
-    # a version-1 file stored A, B and the six C_ij: eight arrays
-    grid = GridSpec(L=8.0, P=4, gamma=-3.0)
-    path = tmp_path / "cache.lskt"
-    header = _LSKT_HEADER.pack(b"LSKT", 1, grid.gamma, grid.L, grid.P)
-    path.write_bytes(header + np.zeros(8 * 4**3).tobytes())
-    with pytest.raises(TableCacheError, match="version 1"):
-        load_tables(path)
-    t = build_or_load_tables(grid, path)
-    assert path.stat().st_size == _LSKT_HEADER.size + 3 * 8 * 4**3
-    back = load_tables(path)
-    assert _LSKT_HEADER.unpack(path.read_bytes()[: _LSKT_HEADER.size])[1] == 2
-    for a, b in zip([t.A, t.B, t.Cs], [back.A, back.B, back.Cs]):
-        assert np.array_equal(a, b)
 
 
 def test_params_validation():

@@ -1,5 +1,7 @@
 """Transforms, projection, cutoff, convolution, snapshot I/O."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -25,7 +27,7 @@ from landau_spectral.spectral import (
     velocity_axis,
     write_snapshot,
 )
-from landau_spectral.spectral import _modes_to_values, _values_to_modes
+from landau_spectral.spectral import _LSFD_HEADER, _modes_to_values, _values_to_modes
 
 
 def _grid(P=8, L=2.0, **kw):
@@ -555,3 +557,19 @@ def test_snapshot_rejects_truncation(tmp_path, rng):
         path.write_bytes(raw[:cut])
         with pytest.raises(SnapshotFormatError):
             read_snapshot(path)
+
+
+@pytest.mark.parametrize("P", [64, 2**20])
+def test_snapshot_size_is_checked_before_reading(tmp_path, P):
+    # a header claiming more values than the file holds fails without a
+    # buffer of the claimed size (2 MB and 8 EB here) ever being requested
+    path = tmp_path / "state.lsfd"
+    path.write_bytes(_LSFD_HEADER.pack(b"LSFD", 1, P, 2.0, -3.0, 0.0) + bytes(64))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SnapshotFormatError, match=f"header gives P={P}"):
+            read_snapshot(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
