@@ -46,7 +46,6 @@ from .spectral import (
     project,
     psi_R,
     read_snapshot,
-    set_fft_workers,
     to_physical,
     to_spectral,
     truncated_convolution,
@@ -99,7 +98,6 @@ __all__ = [
     "rk4_step",
     "run",
     "sample_state",
-    "set_fft_workers",
     "to_physical",
     "to_spectral",
     "truncated_convolution",

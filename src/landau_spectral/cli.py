@@ -8,7 +8,6 @@ round-trips through ``RunConfig.serialize``.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time as _time
 from dataclasses import dataclass, fields, replace
@@ -42,13 +41,10 @@ from .spectral import (
     convolve_pairs,
     project,
     read_snapshot,
-    set_fft_workers,
     to_physical,
     to_spectral,
     write_snapshot,
 )
-
-THREADS_ENV = "LANDAU_SPECTRAL_THREADS"
 
 # kept only as the name perfbench/launch.py wraps to time table builds (kernel.build_s)
 build_or_load_tables = build_kernel_tables
@@ -79,7 +75,7 @@ class RunConfig:
     quad_tol: float = 1e-10
     output_dir: str = "."
     snapshot_every: int = 0
-    threads: int = 1
+    threads: int = 1  # only 1: kept so that existing configs still parse
 
     def __post_init__(self):
         if self.R is None:
@@ -92,8 +88,11 @@ class RunConfig:
             )
         if self.snapshot_every < 0:
             raise ConfigError(f"snapshot_every must be >= 0, got {self.snapshot_every}")
-        if self.threads < 0:
-            raise ConfigError(f"threads must be >= 0 (0 = auto), got {self.threads}")
+        if self.threads != 1:
+            raise ConfigError(
+                f"threads = {self.threads}: FFTs run on one thread; "
+                "set threads = 1 or drop the key"
+            )
 
     def grid(self) -> GridSpec:
         try:
@@ -166,20 +165,6 @@ def _convert(key: str, val: str):
     return val
 
 
-def _resolve_threads(cfg_threads: int) -> int:
-    env = os.environ.get(THREADS_ENV)
-    if env is not None:
-        try:
-            cfg_threads = int(env)
-        except ValueError:
-            raise ConfigError(f"{THREADS_ENV} must be an integer, got {env!r}")
-    if cfg_threads == 0:
-        return os.cpu_count() or 1
-    if cfg_threads < 0:
-        raise ConfigError(f"thread count must be >= 0, got {cfg_threads}")
-    return cfg_threads
-
-
 def _build_initial(cfg: RunConfig, grid: GridSpec):
     """Returns (fhat0, exact_or_None)."""
     if cfg.init == "bkw":
@@ -203,8 +188,6 @@ def _build_initial(cfg: RunConfig, grid: GridSpec):
 
 
 def cmd_run(cfg: RunConfig) -> int:
-    cfg = replace(cfg, threads=_resolve_threads(cfg.threads))  # config.txt records it
-    set_fft_workers(cfg.threads)
     grid = cfg.grid()
     tconf = cfg.time_config()
     outdir = Path(cfg.output_dir)
@@ -242,10 +225,11 @@ def cmd_convergence(cfg: RunConfig, grids: list[int]) -> int:
         raise ConfigError("the BKW reference solves the gamma=0 equation; set gamma=0")
     if not grids:
         raise ConfigError("--grids lists no grid size")
-    for P in grids:
+    for i, P in enumerate(grids):
         if P < 4 or P % 2 != 0:
             raise ConfigError(f"grid sizes must be even and >= 4, got {P}")
-    set_fft_workers(_resolve_threads(cfg.threads))
+        if P in grids[:i]:
+            raise ConfigError(f"--grids lists P = {P} more than once")
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -432,7 +416,6 @@ def cmd_kernel_check(points: int, gamma: float, corrupt: bool = False) -> int:
 
 
 def cmd_oracle_compare(cfg: RunConfig) -> int:
-    set_fft_workers(_resolve_threads(cfg.threads))
     grid = cfg.grid()
     if grid.P > 16:
         raise ConfigError(f"oracle comparison uses the O(P^6) direct sum; P={grid.P} > 16")
@@ -494,7 +477,11 @@ def main(argv=None) -> int:
         if args.command == "run":
             return cmd_run(_load_config(args.config))
         if args.command == "convergence":
-            grids = [int(s) for s in args.grids.split(",") if s]
+            try:
+                grids = [int(s) for s in args.grids.split(",") if s]
+            except ValueError:
+                raise ConfigError(f"--grids takes comma-separated even integers, "
+                                  f"got {args.grids!r}") from None
             return cmd_convergence(_load_config(args.config), grids)
         if args.command == "kernel-check":
             return cmd_kernel_check(args.points, args.gamma, corrupt=args.corrupt)

@@ -25,24 +25,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft as _sfft
 
 _CUTOFF_SHAPES = ("paper", "smooth", "none")
-
-# scipy.fft worker count used by every transform in the package.
-_fft_workers = 1
-
-
-def set_fft_workers(n: int) -> None:
-    """Set the thread count for all FFT calls (1 = serial, deterministic default)."""
-    global _fft_workers
-    if n < 1:
-        raise ValueError(f"fft worker count must be >= 1, got {n}")
-    _fft_workers = int(n)
-
-
-def get_fft_workers() -> int:
-    return _fft_workers
 
 
 class ShapeMismatchError(ValueError):
@@ -207,42 +191,32 @@ def _embed_idx(P: int, n: int) -> np.ndarray:
     return np.concatenate([np.arange(N), np.arange(n - N, n)])
 
 
-def _fftn(a):
-    return _sfft.fftn(a, axes=(-3, -2, -1), workers=_fft_workers)
-
-
-def _ifftn(a):
-    return _sfft.ifftn(a, axes=(-3, -2, -1), workers=_fft_workers)
-
-
-def _pad_axis(a: np.ndarray, axis: int, n: int) -> np.ndarray:
-    """Zero-pad FFT-order ``axis`` of ``a`` from P to n slots (``a`` itself at n = P)."""
-    P = a.shape[axis]
-    if n == P:
-        return a
-    N = P // 2
-    out = np.zeros(a.shape[:axis] + (n,) + a.shape[axis + 1 :], dtype=a.dtype)
-    dst, src = np.moveaxis(out, axis, 0), np.moveaxis(a, axis, 0)
-    dst[:N], dst[n - N :] = src[:N], src[N:]
-    return out
-
-
 def _modes_to_values(src: np.ndarray, n: int) -> np.ndarray:
     """Real values on an n^3 grid from the coefficients of a real field.
 
     Reads the k3 >= 0 half ``src[:, :, :N]`` only, so ``src`` is the whole
     (P, P, P) array or just that (P, P, N) half (the caller guarantees
-    Hermitian symmetry and zeroed Nyquist planes).  Axis 0 is zero-padded
-    to n and transformed on its P*N columns, then axis 1 on n*N, then a
-    c2r pass runs along axis 2: the 1-D transforms of a full irfftn minus
+    Hermitian symmetry and zeroed Nyquist planes).  The half is zero-padded
+    on axes 0 and 1 into one (n, n, N) array, which axis 0 transforms in
+    place on the P*N columns that hold modes and axis 1 on all n*N; a c2r
+    pass then runs along axis 2: the 1-D transforms of a full irfftn minus
     the all-zero ones.
     """
     P = src.shape[0]
-    a = src[:, :, : P // 2]
-    for axis in (0, 1):  # the padded copies are ours to transform in place
-        a = _sfft.ifftn(_pad_axis(a, axis, n), axes=(axis,), overwrite_x=n > P,
-                        workers=_fft_workers)
-    return _sfft.irfftn(a, s=(n,), axes=(2,), workers=_fft_workers)
+    N = P // 2
+    a = src[:, :, :N]
+    if n == P:  # nothing to pad
+        a = np.fft.ifft(a, axis=0)
+        return np.fft.irfft(np.fft.ifft(a, axis=1, out=a), n, axis=2)
+    big = np.zeros((n, n, N), dtype=np.complex128)
+    cut = ((slice(None, N), slice(None, N)), (slice(n - N, None), slice(N, None)))
+    for dst0, src0 in cut:
+        for dst1, src1 in cut:
+            big[dst0, dst1] = a[src0, src1]
+    for cols, _ in cut:
+        np.fft.ifft(big[:, cols], axis=0, out=big[:, cols])
+    np.fft.ifft(big, axis=1, out=big)
+    return np.fft.irfft(big, n, axis=2)
 
 
 def _values_to_rows(vals: np.ndarray, P: int) -> np.ndarray:
@@ -256,14 +230,10 @@ def _values_to_rows(vals: np.ndarray, P: int) -> np.ndarray:
     """
     N = P // 2
     n = vals.shape[0]
-    if n == P:  # nothing to prune
-        return _sfft.rfftn(vals, axes=(0, 1, 2), workers=_fft_workers)
-    keep = np.r_[: N + 1, n - N : n]
-    a = _sfft.rfftn(vals, axes=(2,), workers=_fft_workers)[:, :, : N + 1]
-    a = _sfft.fftn(a, axes=(0,), workers=_fft_workers).take(keep, axis=0)
-    a = _sfft.fftn(a, axes=(1,), overwrite_x=True,  # a is the copy take made
-                   workers=_fft_workers).take(keep, axis=1)
-    return a
+    keep = np.r_[: N + 1, n - N : n] if n > P else slice(None)  # nothing to prune at n = P
+    a = np.fft.rfft(vals, axis=2)[:, :, : N + 1]
+    a = np.fft.fft(a, axis=0)[keep]
+    return np.fft.fft(a, axis=1, out=a)[:, keep]  # a is ours: a new array or its row copy
 
 
 def _row_index(P: int, M: int):
@@ -477,15 +447,37 @@ def padded_size(grid: GridSpec) -> int:
     it lands on N - 1).  Q is therefore the smallest FFT-friendly size
     >= 3N, Orszag's 3/2 rule.
     """
-    return _sfft.next_fast_len(3 * grid.N, real=True)
+    return _next_fast_len(3 * grid.N)
+
+
+def _next_fast_len(n: int) -> int:
+    """The smallest 5-smooth size 2^a 3^b 5^c >= n >= 1, the real-transform
+    rule of ``scipy.fft.next_fast_len``."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
 
 
 def _padded_values(coeffs: np.ndarray, Q: int) -> np.ndarray:
-    """Inverse DFT of (P,P,P) coefficients zero-padded to a Q^3 grid."""
+    """Inverse DFT of (P,P,P) coefficients zero-padded to a Q^3 grid.
+
+    Unscaled passes from axis 0, in place, with the whole 1/Q^3 applied
+    once after the first, as one 3-D pocketfft inverse (``scipy.fft.ifftn``)
+    does; ``np.fft.ifftn`` would start at axis 2 and scale every pass.
+    """
     idx = _embed_idx(coeffs.shape[0], Q)
     big = np.zeros((Q, Q, Q), dtype=np.complex128)
     big[np.ix_(idx, idx, idx)] = coeffs
-    return _ifftn(big)
+    big = np.fft.ifft(big, axis=0, norm="forward", out=big)
+    big *= 1.0 / Q**3
+    for axis in (1, 2):
+        big = np.fft.ifft(big, axis=axis, norm="forward", out=big)
+    return big
 
 
 def convolve_pairs(pairs, P: int, Q: int, hermitian: bool = False) -> np.ndarray:
@@ -506,8 +498,10 @@ def convolve_pairs(pairs, P: int, Q: int, hermitian: bool = False) -> np.ndarray
         prod = _padded_values(x, Q)
         prod *= _padded_values(y, Q)
         acc = prod if acc is None else np.add(acc, prod, out=acc)
+    for axis in (0, 1, 2):  # from axis 0, as the inverse and the real passes run
+        acc = np.fft.fft(acc, axis=axis, out=acc)
     idx = _embed_idx(P, Q)
-    out = _fftn(acc)[np.ix_(idx, idx, idx)]
+    out = acc[np.ix_(idx, idx, idx)]
     out *= float(Q) ** 3
     return out
 

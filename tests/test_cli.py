@@ -5,22 +5,8 @@ import csv
 import numpy as np
 import pytest
 
-from landau_spectral.cli import (
-    THREADS_ENV,
-    ConfigError,
-    RunConfig,
-    _resolve_threads,
-    kernel_check,
-    main,
-)
-from landau_spectral.spectral import _LSFD_HEADER, set_fft_workers
-
-
-@pytest.fixture(autouse=True)
-def _serial_ffts():
-    # commands may change the module-global worker count; restore it
-    yield
-    set_fft_workers(1)
+from landau_spectral.cli import ConfigError, RunConfig, kernel_check, main
+from landau_spectral.spectral import _LSFD_HEADER
 
 
 def _write_cfg(tmp_path, name="run.cfg", **over):
@@ -81,8 +67,9 @@ def test_config_validation():
         RunConfig(init="plasma")
     with pytest.raises(ConfigError):
         RunConfig(snapshot_every=-1)
-    with pytest.raises(ConfigError):
-        RunConfig(threads=-2)
+    for threads in (-2, 0, 2):  # FFTs run on one thread
+        with pytest.raises(ConfigError, match="set threads = 1 or drop the key"):
+            RunConfig(threads=threads)
     with pytest.raises(ConfigError):
         RunConfig(P=7).grid()
     with pytest.raises(ConfigError):
@@ -103,17 +90,6 @@ def test_non_finite_config_values_fail_at_parse_time(tmp_path, capsys, key, val)
     err = capsys.readouterr().err
     assert f"key '{key}' expects a finite number, got '{val}'" in err
     assert "Traceback" not in err
-
-
-def test_resolve_threads(monkeypatch):
-    monkeypatch.delenv(THREADS_ENV, raising=False)
-    assert _resolve_threads(3) == 3
-    assert _resolve_threads(0) >= 1
-    monkeypatch.setenv(THREADS_ENV, "5")
-    assert _resolve_threads(1) == 5
-    monkeypatch.setenv(THREADS_ENV, "many")
-    with pytest.raises(ConfigError):
-        _resolve_threads(1)
 
 
 # ---------------------------------------------------------------------------
@@ -306,19 +282,6 @@ def test_run_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_thread_env_override(tmp_path, monkeypatch):
-    cfg = _write_cfg(tmp_path, t_end=1e-3)
-    echo = tmp_path / "out" / "config.txt"
-    monkeypatch.setenv(THREADS_ENV, "2")
-    assert main(["run", str(cfg)]) == 0
-    assert RunConfig.parse(echo.read_text()).threads == 2  # the count used, not 1
-    monkeypatch.setenv(THREADS_ENV, "0")  # auto
-    assert main(["run", str(cfg)]) == 0
-    assert RunConfig.parse(echo.read_text()).threads == _resolve_threads(0) >= 1
-    monkeypatch.setenv(THREADS_ENV, "zippy")
-    assert main(["run", str(cfg)]) == 1
-
-
 # ---------------------------------------------------------------------------
 # main(): other commands
 # ---------------------------------------------------------------------------
@@ -341,10 +304,13 @@ def test_convergence_command(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_convergence_rejects_bad_setups(tmp_path):
+def test_convergence_rejects_bad_setups(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, t_end=2e-3)
-    for grids in ("7,8", ","):  # an odd size; no size at all
+    for grids, msg in (("7,8", "even and >= 4, got 7"), (",", "lists no grid size"),
+                       ("8,8", "P = 8 more than once"),
+                       ("8,x", "--grids takes comma-separated even integers, got '8,x'")):
         assert main(["convergence", str(cfg), "--grids", grids]) == 1
+        assert msg in capsys.readouterr().err
     shell = _write_cfg(tmp_path, name="s.cfg", init="shell")
     assert main(["convergence", str(shell), "--grids", "8"]) == 1
     coul = _write_cfg(tmp_path, name="c.cfg", gamma=-3.0)

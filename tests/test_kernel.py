@@ -303,16 +303,20 @@ def test_integer_modes_required():
 
 
 def test_closed_form_tables_do_not_import_scipy_integrate():
-    # gamma = -3 and 0 never integrate, so a CLI process that builds only
-    # their tables must not pay for importing scipy.integrate
+    # gamma = -3 and 0 never integrate and numpy runs every transform, so a
+    # CLI process that builds only their tables must not import scipy at all
     code = (
         "import sys\n"
+        "import numpy as np\n"
         "import landau_spectral.cli\n"
         "from landau_spectral.kernel import build_kernel_tables\n"
-        "from landau_spectral.spectral import GridSpec\n"
+        "from landau_spectral.spectral import GridSpec, PhysicalField, to_physical, to_spectral\n"
+        "g = GridSpec(L=8.0, P=8)\n"
+        "to_spectral(to_physical(to_spectral(PhysicalField(np.ones((16,) * 3), g)), 16))\n"
         "for gamma in (-3.0, 0.0):\n"
         "    build_kernel_tables(GridSpec(L=8.0, P=8, gamma=gamma))\n"
-        "assert 'scipy.integrate' not in sys.modules, 'imported too early'\n"
+        "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        "assert not loaded, f'scipy imported: {loaded}'\n"
         "t = build_kernel_tables(GridSpec(L=8.0, P=8, gamma=-2.5))\n"
         "assert 'scipy.integrate' in sys.modules and t.A.shape == (8, 8, 8)\n"
     )

@@ -15,19 +15,22 @@ from landau_spectral.spectral import (
     SpectralField,
     apply_cutoff,
     convolve_pairs,
-    get_fft_workers,
     padded_size,
     project,
     psi_R,
     read_snapshot,
-    set_fft_workers,
     to_physical,
     to_spectral,
     truncated_convolution,
     velocity_axis,
     write_snapshot,
 )
-from landau_spectral.spectral import _LSFD_HEADER, _modes_to_values, _values_to_modes
+from landau_spectral.spectral import (
+    _LSFD_HEADER,
+    _modes_to_values,
+    _next_fast_len,
+    _values_to_modes,
+)
 
 
 def _grid(P=8, L=2.0, **kw):
@@ -304,6 +307,7 @@ def test_padded_size_follows_three_halves_rule():
     assert [padded_size(_grid(P=P)) for P in (4, 8, 16, 32, 48)] == [6, 12, 24, 48, 72]
     # 3N = 33 has the factor 11; the next 5-smooth size is 36
     assert padded_size(_grid(P=22)) == 36
+    assert all(_next_fast_len(n) == scipy.fft.next_fast_len(n, real=True) for n in range(1, 400))
 
 
 @pytest.mark.parametrize("hermitian", [False, True])
@@ -386,21 +390,6 @@ def test_pruned_forward_matches_full_dft(rng, P, n):
 
 
 @pytest.mark.parametrize("P", [10, 16, 22])
-def test_pruned_pair_with_two_workers(rng, P):
-    Q = padded_size(_grid(P=P))
-    src = _hermitian_modes(rng, P)
-    vals = rng.standard_normal((Q, Q, Q))
-    serial = _modes_to_values(src, Q), _values_to_modes(vals, P)
-    set_fft_workers(2)
-    try:
-        threaded = _modes_to_values(src, Q), _values_to_modes(vals, P)
-    finally:
-        set_fft_workers(1)
-    for a, b in zip(serial, threaded):
-        assert np.array_equal(a, b)
-
-
-@pytest.mark.parametrize("P", [10, 16, 22])
 def test_hermitian_engine_unprojected_output_matches_complex(rng, P):
     # convolve_pairs returns unprojected modes: the k_i = -N planes of the
     # real path must match the complex engine too (odd Q = 15 at P = 10)
@@ -416,14 +405,15 @@ def test_hermitian_engine_unprojected_output_matches_complex(rng, P):
 
 
 def test_padded_transforms_are_pure_across_grids_and_workers(rng):
-    # the padded inverse transforms its pad copies in place (and reads the
-    # input itself at n = P); runs interleaved over grids, sizes and worker
-    # counts must repeat their first results exactly and leave inputs alone
+    # the padded inverse transforms its padded copy in place (and reads the
+    # input itself at n = P), the forward pass its row copy; runs interleaved
+    # over grids and sizes must repeat their first results exactly and leave
+    # inputs alone
     from landau_spectral.collision import q_scheme_rhs
     from landau_spectral.kernel import build_kernel_tables
 
     sizes = {P: sorted({P, 2 * P, 3 * P, padded_size(_grid(P=P))}) for P in (10, 16)}
-    cases = [(P, sizes[P][i], w) for w in (1, 2) for i in range(4) for P in (10, 16)]
+    cases = [(P, sizes[P][i]) for i in range(4) for P in (10, 16)]
     grids = {P: _grid(P=P, L=1.8, oversample=3) for P in (10, 16)}
     tables = {P: build_kernel_tables(g) for P, g in grids.items()}
     src = {P: _hermitian_modes(rng, P) for P in grids}
@@ -439,20 +429,13 @@ def test_padded_transforms_are_pure_across_grids_and_workers(rng):
         return out
 
     kept = {P: (src[P].copy(), state[P].data.copy()) for P in grids}
-    want = {}
-    try:
-        for P, n, w in cases:
-            set_fft_workers(w)
-            want[P, n, w] = results(P, n)
-        for P, n, w in cases + cases[::-1]:
-            set_fft_workers(w)
-            for a, b in zip(results(P, n), want[P, n, w]):
-                assert np.array_equal(a, b)
-        for P in grids:
-            assert np.array_equal(src[P], kept[P][0])
-            assert np.array_equal(state[P].data, kept[P][1])
-    finally:
-        set_fft_workers(1)
+    want = {case: results(*case) for case in cases}
+    for case in cases + cases[::-1]:
+        for a, b in zip(results(*case), want[case]):
+            assert np.array_equal(a, b)
+    for P in grids:
+        assert np.array_equal(src[P], kept[P][0])
+        assert np.array_equal(state[P].data, kept[P][1])
 
 
 # ---------------------------------------------------------------------------
@@ -504,17 +487,6 @@ def test_grid_spec_blames_a_non_finite_box_on_L():
     for L in (np.nan, np.inf):
         with pytest.raises(ValueError, match="L must be finite"):
             GridSpec(L=L, P=8)
-
-
-def test_fft_worker_setting():
-    assert get_fft_workers() == 1
-    set_fft_workers(2)
-    try:
-        assert get_fft_workers() == 2
-        with pytest.raises(ValueError):
-            set_fft_workers(0)
-    finally:
-        set_fft_workers(1)
 
 
 # ---------------------------------------------------------------------------
