@@ -119,7 +119,7 @@ class RunConfig:
     @classmethod
     def parse(cls, text: str) -> "RunConfig":
         kinds = {f.name: f for f in fields(cls)}
-        kwargs = {}
+        kwargs, set_on = {}, {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -131,6 +131,9 @@ class RunConfig:
             val = val.strip()
             if key not in kinds:
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            if key in set_on:
+                raise ConfigError(f"line {lineno}: key {key!r} already set on line {set_on[key]}")
+            set_on[key] = lineno
             try:
                 kwargs[key] = _convert(key, val)
             except ValueError as exc:
@@ -263,20 +266,12 @@ def _sample_modes(rng, P, count):
     return rng.integers(-N, N, size=(count, 3))
 
 
-def kernel_check(points: int = 8, gamma: float = -3.0, L: float = 8.0,
-                 corrupt: bool = False):
-    """Run the kernel invariant suite; returns a list of (name, ok, detail).
-
-    ``corrupt`` deliberately damages one table entry first and is the
-    negative control used by the tests: with it the reconstruction check
-    must fail.
-    """
+def kernel_check(points: int = 8, gamma: float = -3.0, L: float = 8.0):
+    """Run the kernel invariant suite; returns a list of (name, ok, detail)."""
     if points > 16:
         raise ConfigError(f"kernel-check uses the O(P^6) oracle; points={points} > 16")
     grid = GridSpec(L=L, P=points, gamma=gamma)
     tables = build_kernel_tables(grid)
-    if corrupt:
-        tables.A[1, 0, 0] += 1e-3
     rng = np.random.default_rng(20240817)
     results = []
     k = _mode_ints(points)
@@ -377,11 +372,7 @@ def kernel_check(points: int = 8, gamma: float = -3.0, L: float = 8.0,
     # projected real fields that q_scheme_rhs passes to the real transforms
     beta_fn = beta_coulomb if gamma == -3.0 else beta_from_tables(tables)
     for real in (False, True):
-        worst = 0.0
-        for _ in range(3):
-            g, h = _random_field(rng, grid, real), _random_field(rng, grid, real)
-            fast = q_periodic_fast(g, h, tables, hermitian=real).data
-            worst = max(worst, _rel_dev(fast, q_periodic_direct(g, h, beta_fn).data))
+        worst = max(_oracle_deviations(rng, grid, tables, beta_fn, real, 3))
         results.append((("real-field " if real else "") + "FFT evaluation vs direct double sum",
                         worst <= 1e-12, f"max rel defect {worst:.3e} (tol 1e-12)"))
 
@@ -392,6 +383,14 @@ def kernel_check(points: int = 8, gamma: float = -3.0, L: float = 8.0,
     results.append(("aliasing seen at Q = 3N - 1", dev > 1e-6,
                     f"max rel defect {dev:.3e} (must exceed 1e-6)"))
     return results
+
+
+def _oracle_deviations(rng, grid: GridSpec, tables, beta_fn, real: bool, trials: int):
+    """Relative deviations of ``q_periodic_fast`` from the direct double sum
+    on ``trials`` random pairs of real fields or of complex coefficients."""
+    for _ in range(trials):
+        g, h = _random_field(rng, grid, real), _random_field(rng, grid, real)
+        yield _rel_dev(q_periodic_fast(g, h, tables).data, q_periodic_direct(g, h, beta_fn).data)
 
 
 def _random_field(rng, grid: GridSpec, real: bool) -> SpectralField:
@@ -406,8 +405,8 @@ def _rel_dev(fast: np.ndarray, direct: np.ndarray) -> float:
     return float(np.max(np.abs(fast - direct)) / np.max(np.abs(direct)))
 
 
-def cmd_kernel_check(points: int, gamma: float, corrupt: bool = False) -> int:
-    results = kernel_check(points=points, gamma=gamma, corrupt=corrupt)
+def cmd_kernel_check(points: int, gamma: float) -> int:
+    results = kernel_check(points=points, gamma=gamma)
     ok = True
     for name, passed, detail in results:
         print(f"{'PASS' if passed else 'FAIL'}  {name}: {detail}")
@@ -424,10 +423,7 @@ def cmd_oracle_compare(cfg: RunConfig) -> int:
     rng = np.random.default_rng(745737)
     worst = 0.0
     for real in (False, True):
-        for trial in range(5):
-            g, h = _random_field(rng, grid, real), _random_field(rng, grid, real)
-            fast = q_periodic_fast(g, h, tables, hermitian=real).data
-            dev = _rel_dev(fast, q_periodic_direct(g, h, beta_fn).data)
+        for trial, dev in enumerate(_oracle_deviations(rng, grid, tables, beta_fn, real, 5)):
             worst = max(worst, dev)
             print(f"{'real' if real else 'complex'} pair {trial}: max rel deviation {dev:.3e}")
     print(f"worst deviation {worst:.3e} (tol 1e-12)")
@@ -466,7 +462,6 @@ def main(argv=None) -> int:
     p_kc = sub.add_parser("kernel-check", help="kernel coefficient self-checks (L = 8)")
     p_kc.add_argument("--points", type=int, default=8)
     p_kc.add_argument("--gamma", type=float, default=-3.0)
-    p_kc.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
 
     p_oc = sub.add_parser("oracle-compare",
                           help="FFT vs direct-sum collision evaluation (small P)")
@@ -484,7 +479,7 @@ def main(argv=None) -> int:
                                   f"got {args.grids!r}") from None
             return cmd_convergence(_load_config(args.config), grids)
         if args.command == "kernel-check":
-            return cmd_kernel_check(args.points, args.gamma, corrupt=args.corrupt)
+            return cmd_kernel_check(args.points, args.gamma)
         if args.command == "oracle-compare":
             return cmd_oracle_compare(_load_config(args.config))
         raise ConfigError(f"unknown command {args.command!r}")

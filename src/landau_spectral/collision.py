@@ -6,11 +6,11 @@ The periodized Landau operator acts on Fourier coefficients as
 
 and since beta is quadratic in m it splits into seven truncated
 convolutions (A, and the six C_ij = Cs l_i l_j with B(l)|m|^2 folded
-into the diagonal C_ii), summed by one FFT engine.  For real states the
-engine reads the k3 >= 0 half spectra only and zero-pads each factor to
-Q >= 3N points per axis in pruned one-axis passes that skip the all-zero
-columns (``spectral._convolve_real``); the scheme right-hand side carries
-the state as that half through all three stages.
+into the diagonal C_ii), summed by one FFT engine (``convolve_pairs``).
+For real states it reads the k3 >= 0 half spectra only and zero-pads each
+factor to Q >= 3N points per axis in pruned one-axis passes that skip the
+all-zero columns; the scheme right-hand side carries the state as that
+half through all three stages.
 The direct double-sum evaluator is retained as an O(P^6) oracle for
 small P.
 """
@@ -29,7 +29,6 @@ from .spectral import (  # noqa: F401
     ShapeMismatchError,
     SpectralField,
     _assemble,
-    _convolve_real,
     _cutoff_half,
     _mode_ints,
     _project_half,
@@ -83,22 +82,18 @@ def _term_pairs(gdata: np.ndarray, hdata: np.ndarray, tables: KernelTables):
 
 
 def q_periodic_fast(
-    ghat: SpectralField, hhat: SpectralField, tables: KernelTables, *, hermitian: bool = False
+    ghat: SpectralField, hhat: SpectralField, tables: KernelTables
 ) -> SpectralField:
-    """FFT evaluation of Qhat(g, h) on J_N.
+    """FFT evaluation of Qhat(g, h) on J_N, unprojected.
 
-    Works for arbitrary complex coefficients; ``hermitian=True`` states that
-    both operands are projected real fields and selects real transforms,
-    which read and form products on the k3 >= 0 halves only.  The result
-    is unprojected.  Padded by the 3/2 rule, this is the literal double sum
-    to rounding.
+    Works for arbitrary complex coefficients.  When both operands are real
+    fields (``spectral._is_real``) so are the seven coefficient products,
+    and ``convolve_pairs`` runs real transforms on their k3 >= 0 halves.
+    Padded by the 3/2 rule, this is the literal double sum to rounding.
     """
     _check_compatible(ghat, hhat, tables)
     grid = ghat.grid
-    g, h = ghat.data, hhat.data
-    if hermitian:
-        g, h = g[:, :, : grid.N], h[:, :, : grid.N]
-    out = convolve_pairs(_term_pairs(g, h, tables), grid.P, padded_size(grid), hermitian)
+    out = convolve_pairs(_term_pairs(ghat.data, hhat.data, tables), grid.P, padded_size(grid))
     out /= (2.0 * grid.L) ** 3
     return SpectralField(out, grid)
 
@@ -184,13 +179,14 @@ def q_scheme_rhs(fhat: SpectralField, grid, tables: KernelTables) -> SpectralFie
     and ``apply_cutoff`` check at the public boundary).  Every stage runs
     on (P, P, N) halves and zeroes its Nyquist rows in place; the whole
     (P, P, P) array is assembled once, at the end.  The result equals
-    ``project(apply_cutoff(project(q_periodic_fast(F, F, tables,
-    hermitian=True))))`` with ``F = project(apply_cutoff(fhat))``.
+    ``project(apply_cutoff(project(q_periodic_fast(F, F, tables))))`` with
+    ``F = project(apply_cutoff(fhat))`` bit for bit: F is real, so both
+    take the same real transforms.
     """
     if fhat.grid != grid:
         raise ShapeMismatchError("state grid differs from the requested grid")
     _check_compatible(fhat, fhat, tables)
     F = _cutoff_half(fhat.data, grid)
-    U = _convolve_real(_term_pairs(F, F, tables), grid.P, padded_size(grid))
+    U = convolve_pairs(_term_pairs(F, F, tables), grid.P, padded_size(grid))
     U /= (2.0 * grid.L) ** 3
     return SpectralField(_assemble(_cutoff_half(_project_half(U), grid)), grid)

@@ -19,6 +19,7 @@ pair.
 
 from __future__ import annotations
 
+import itertools
 import os
 import struct
 from dataclasses import dataclass
@@ -302,14 +303,12 @@ def _values_to_half(vals: np.ndarray, grid: GridSpec) -> np.ndarray:
     return _project_half(half)
 
 
-def _check_hermitian(fhat: SpectralField) -> None:
-    """Raise unless coefficients describe a real field (relative tol 1e-12)."""
-    data = fhat.data
-    P = fhat.grid.P
+def _check_hermitian(data: np.ndarray) -> None:
+    """Raise unless (P, P, P) coefficients describe a real field: Hermitian
+    with zero Nyquist planes, each within 1e-12 of the largest coefficient."""
+    P = data.shape[0]
     N = P // 2
     scale = np.max(np.abs(data))
-    if scale == 0.0:
-        return
     rev = (P - np.arange(P)) % P
     defect = np.max(np.abs(data - np.conj(data[np.ix_(rev, rev, rev)])))
     nyq = max(
@@ -323,6 +322,16 @@ def _check_hermitian(fhat: SpectralField) -> None:
             f"(symmetry defect {defect:.3e}, Nyquist magnitude {nyq:.3e}, "
             f"scale {scale:.3e})"
         )
+
+
+def _is_real(data: np.ndarray) -> bool:
+    """Whether ``_check_hermitian`` accepts the coefficients: the one rule
+    for rejecting inputs and for choosing transforms in ``convolve_pairs``."""
+    try:
+        _check_hermitian(data)
+    except HermitianSymmetryError:
+        return False
+    return True
 
 
 def project(fhat: SpectralField) -> SpectralField:
@@ -369,7 +378,7 @@ def to_physical(fhat: SpectralField, n: int | None = None) -> PhysicalField:
         n = P
     if n % P != 0 or n < P:
         raise ShapeMismatchError(f"output grid size {n} is not a multiple of P={P}")
-    _check_hermitian(fhat)
+    _check_hermitian(fhat.data)
     return PhysicalField(_half_to_values(fhat.data, grid, n), grid)
 
 
@@ -422,7 +431,7 @@ def apply_cutoff(fhat: SpectralField) -> SpectralField:
     grid = fhat.grid
     if grid.cutoff_shape == "none":
         return fhat
-    _check_hermitian(fhat)
+    _check_hermitian(fhat.data)
     return SpectralField(_assemble(_cutoff_half(fhat.data, grid)), grid)
 
 
@@ -480,19 +489,38 @@ def _padded_values(coeffs: np.ndarray, Q: int) -> np.ndarray:
     return big
 
 
-def convolve_pairs(pairs, P: int, Q: int, hermitian: bool = False) -> np.ndarray:
-    """sum_t conv(x_t, y_t) on J_N for (P,P,P) FFT-order pairs (x_t, y_t).
+def convolve_pairs(pairs, P: int, Q: int) -> np.ndarray:
+    """sum_t conv(x_t, y_t) on J_N for FFT-order pairs (x_t, y_t), unprojected,
+    in the shape of the operands.
 
     The products of the padded point values share one accumulator and one
     forward transform.  Q >= 3N gives the literal truncated sums; Q < 3N
-    aliases (``padded_size``).  ``hermitian`` operands must be
-    coefficients of real fields (Hermitian, zero Nyquist planes); only
-    their k3 >= 0 halves are read (``_convolve_real``) and the result is
-    unprojected.  Otherwise any coefficients go through full complex
-    transforms.
+    aliases (``padded_size``).  (P, P, N) operands are k3 >= 0 halves of
+    real fields and may stream from a generator; (P, P, P) operands that all
+    pass ``_is_real`` are read on those halves too, in pruned one-axis real
+    passes (``_modes_to_values``).  Any others take complex transforms.
     """
-    if hermitian:
-        return _convolve_real(pairs, P, Q, full=True)
+    pairs = iter(pairs)
+    first = next(pairs)
+    whole = first[0].shape[2] == P
+    pairs = itertools.chain([first], pairs)
+    if whole:  # listed, to test every operand before the first transform
+        pairs = list(pairs)
+        if not all(_is_real(a) for pair in pairs for a in pair):
+            return _convolve_complex(pairs, P, Q)
+    acc = None
+    for x, y in pairs:
+        prod = _modes_to_values(x, Q)
+        prod *= _modes_to_values(y, Q)
+        acc = prod if acc is None else np.add(acc, prod, out=acc)
+    out = _values_to_modes(acc, P) if whole else _rows_to_half(_values_to_rows(acc, P), P)
+    out *= float(Q) ** 3
+    return out
+
+
+def _convolve_complex(pairs, P: int, Q: int) -> np.ndarray:
+    """sum_t conv(x_t, y_t) on J_N for any (P, P, P) coefficients, by full
+    complex transforms of the zero-padded operands (``_padded_values``)."""
     acc = None
     for x, y in pairs:
         prod = _padded_values(x, Q)
@@ -506,31 +534,11 @@ def convolve_pairs(pairs, P: int, Q: int, hermitian: bool = False) -> np.ndarray
     return out
 
 
-def _convolve_real(pairs, P: int, Q: int, full: bool = False) -> np.ndarray:
-    """sum_t conv(x_t, y_t) for coefficients (x_t, y_t) of real fields, read
-    from their k3 >= 0 halves (whole arrays or (P, P, N) halves).
-
-    Each factor is zero-padded to Q points per axis by pruned one-axis
-    passes (``_modes_to_values``), the products share one accumulator, and
-    one pruned forward pass (``_values_to_rows``) reads the modes back:
-    the unprojected k3 >= 0 half, or with ``full`` the whole unprojected
-    (P, P, P) array (``_values_to_modes``).
-    """
-    acc = None
-    for x, y in pairs:
-        prod = _modes_to_values(x, Q)
-        prod *= _modes_to_values(y, Q)
-        acc = prod if acc is None else np.add(acc, prod, out=acc)
-    out = _values_to_modes(acc, P) if full else _rows_to_half(_values_to_rows(acc, P), P)
-    out *= float(Q) ** 3
-    return out
-
-
 def truncated_convolution(xhat: SpectralField, yhat: SpectralField) -> SpectralField:
     """Mode-space convolution z(k) = sum_{l+m=k, l,m in J_N} x(l) y(m), k in J_N.
 
     Padded by the 3/2 rule, so this is the literal truncated double sum to
-    rounding.  Complex transforms, so any coefficients are accepted.
+    rounding, for any coefficients (``convolve_pairs`` picks the transforms).
     """
     if xhat.grid != yhat.grid:
         raise ShapeMismatchError("operands live on different grids")

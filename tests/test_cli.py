@@ -55,6 +55,8 @@ def test_config_parse_error_positions():
         RunConfig.parse("L=1.0\nP=8\ndt=fast\n")
     with pytest.raises(ConfigError, match="line 1"):
         RunConfig.parse("just some words\n")
+    with pytest.raises(ConfigError, match="line 3: key 'dt' already set on line 1"):
+        RunConfig.parse("dt = 0.05\nt_end = 1\ndt = 0.01\n")
     # the convolutions always follow the 3/2 rule and every process builds
     # its own kernel tables: neither option exists, so old configs fail here
     for key, val in (("padding", "exact"), ("kernel_cache", "tables")):
@@ -106,8 +108,23 @@ def test_kernel_check_passes_coulomb():
     assert any("aliasing seen at Q = 3N - 1" in n for n in names)
 
 
-def test_kernel_check_negative_control():
-    results = kernel_check(points=6, gamma=-3.0, corrupt=True)
+def _corrupt_tables(monkeypatch):
+    # negative control: damage one table entry of every build the checks make
+    from landau_spectral import cli
+
+    build = cli.build_kernel_tables
+
+    def damaged(grid, **kw):
+        tables = build(grid, **kw)
+        tables.A[1, 0, 0] += 1e-3
+        return tables
+
+    monkeypatch.setattr(cli, "build_kernel_tables", damaged)
+
+
+def test_kernel_check_negative_control(monkeypatch):
+    _corrupt_tables(monkeypatch)
+    results = kernel_check(points=6, gamma=-3.0)
     assert not all(ok for _, ok, _ in results)
 
 
@@ -123,8 +140,9 @@ def test_kernel_check_closed_form_and_cumulative_gammas(gamma):
     assert "radial profiles vs from-zero quadrature" in [name for name, _, _ in results]
 
 
-def test_kernel_check_negative_control_gamma0():
-    results = {name: ok for name, ok, _ in kernel_check(points=6, gamma=0.0, corrupt=True)}
+def test_kernel_check_negative_control_gamma0(monkeypatch):
+    _corrupt_tables(monkeypatch)
+    results = {name: ok for name, ok, _ in kernel_check(points=6, gamma=0.0)}
     assert not results["table reconstruction vs quadrature"]
     assert results["radial profiles vs from-zero quadrature"]  # profiles are rebuilt
 
@@ -317,11 +335,13 @@ def test_convergence_rejects_bad_setups(tmp_path, capsys):
     assert main(["convergence", str(coul), "--grids", "8"]) == 1
 
 
-def test_kernel_check_command(capsys):
+def test_kernel_check_command(capsys, monkeypatch):
     assert main(["kernel-check", "--points", "6"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
-    assert main(["kernel-check", "--points", "6", "--corrupt"]) == 2
+    assert main(["kernel-check", "--points", "6", "--corrupt"]) == 1  # no such option
+    _corrupt_tables(monkeypatch)
+    assert main(["kernel-check", "--points", "6"]) == 2
     out = capsys.readouterr().out
     assert "FAIL" in out
 

@@ -16,6 +16,7 @@ from landau_spectral.spectral import (
     PhysicalField,
     ShapeMismatchError,
     SpectralField,
+    _is_real,
     apply_cutoff,
     convolve_pairs,
     padded_size,
@@ -86,24 +87,34 @@ def test_delta_modes_outside_range_vanish(tables_for):
 
 @pytest.mark.parametrize("P", [4, 6, 8])
 def test_fast_matches_direct(P, tables_for, rng):
+    # besides real fields, two near misses of the real-field rule: one
+    # coefficient 1e-9 of the scale off its conjugate, and a Hermitian field
+    # with live Nyquist planes.  A rule loose enough to read only their
+    # k3 >= 0 halves would miss the direct sum
     grid = _grid(P=P, L=1.7)
     tables = tables_for(grid)
     g = _hermitian(grid, rng)
     h = _hermitian(grid, rng)
-    fast = q_periodic_fast(g, h, tables)
-    direct = q_periodic_direct(g, h)
-    scale = np.max(np.abs(direct.data))
-    assert np.max(np.abs(fast.data - direct.data)) < 1e-12 * scale
+    off = g.data.copy()
+    off[1, 0, 1] += 1e-9 * np.max(np.abs(off))
+    live = np.fft.fftn(rng.standard_normal((P,) * 3))
+    for x in (g, SpectralField(off, grid), SpectralField(live, grid)):
+        fast = q_periodic_fast(x, h, tables)
+        direct = q_periodic_direct(x, h)
+        scale = np.max(np.abs(direct.data))
+        assert np.max(np.abs(fast.data - direct.data)) < 1e-12 * scale
 
 
 @pytest.mark.parametrize("P", [4, 6, 8, 16])
 def test_real_transform_path_matches_direct(P, tables_for, rng):
-    # the path q_scheme_rhs takes: projected real fields, real transforms
+    # the path q_scheme_rhs takes: projected real fields, real transforms,
+    # which every coefficient product of real fields selects
     grid = _grid(P=P, L=1.7)
     tables = tables_for(grid)
     g = _hermitian(grid, rng)
     h = _hermitian(grid, rng)
-    fast = q_periodic_fast(g, h, tables, hermitian=True)
+    assert all(_is_real(a) for pair in _term_pairs(g.data, h.data, tables) for a in pair)
+    fast = q_periodic_fast(g, h, tables)
     direct = q_periodic_direct(g, h)
     scale = np.max(np.abs(direct.data))
     assert np.max(np.abs(fast.data - direct.data)) < 1e-12 * scale
@@ -114,9 +125,8 @@ def test_three_halves_padding_matches_double_padding(P, tables_for, rng):
     grid = _grid(P=P, L=1.8)
     tables = tables_for(grid)
     g = _hermitian(grid, rng)
-    want = convolve_pairs(_term_pairs(g.data, g.data, tables), P, 2 * P, hermitian=True)
-    got = convolve_pairs(_term_pairs(g.data, g.data, tables), P, padded_size(grid),
-                         hermitian=True)
+    want = convolve_pairs(_term_pairs(g.data, g.data, tables), P, 2 * P)
+    got = convolve_pairs(_term_pairs(g.data, g.data, tables), P, padded_size(grid))
     assert padded_size(grid) == 3 * P // 2
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -244,7 +254,7 @@ def test_scheme_rhs_equals_the_public_stage_composition(P, shape, tables_for, rn
     f = SpectralField(f, grid)
     kept = f.data.copy()
     F = project(apply_cutoff(f))
-    want = project(apply_cutoff(project(q_periodic_fast(F, F, tables, hermitian=True))))
+    want = project(apply_cutoff(project(q_periodic_fast(F, F, tables))))
     got = q_scheme_rhs(f, grid, tables)
     assert np.array_equal(got.data, want.data)
     assert np.array_equal(f.data, kept)

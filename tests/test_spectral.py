@@ -27,6 +27,8 @@ from landau_spectral.spectral import (
 )
 from landau_spectral.spectral import (
     _LSFD_HEADER,
+    _convolve_complex,
+    _is_real,
     _modes_to_values,
     _next_fast_len,
     _values_to_modes,
@@ -283,8 +285,8 @@ def test_hermitian_engine_matches_complex(rng):
     grid = _grid(P=8, L=2.0)
     x = to_spectral(PhysicalField(rng.standard_normal((8, 8, 8)), grid))
     y = to_spectral(PhysicalField(rng.standard_normal((8, 8, 8)), grid))
-    want = truncated_convolution(x, y).data
-    got = convolve_pairs([(x.data, y.data)], grid.P, 2 * grid.P, hermitian=True)
+    want = _convolve_complex([(x.data, y.data)], grid.P, 2 * grid.P)
+    got = convolve_pairs([(x.data, y.data)], grid.P, 2 * grid.P)
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
@@ -295,11 +297,8 @@ def test_hermitian_engine_accumulates_pairs(rng):
         for _ in range(4)
     ]
     pairs = [(fields[0].data, fields[1].data), (fields[2].data, fields[3].data)]
-    got = convolve_pairs(pairs, grid.P, 2 * grid.P, hermitian=True)
-    want = (
-        truncated_convolution(fields[0], fields[1]).data
-        + truncated_convolution(fields[2], fields[3]).data
-    )
+    got = convolve_pairs(pairs, grid.P, 2 * grid.P)
+    want = _convolve_complex(pairs, grid.P, 2 * grid.P)
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
@@ -310,17 +309,21 @@ def test_padded_size_follows_three_halves_rule():
     assert all(_next_fast_len(n) == scipy.fft.next_fast_len(n, real=True) for n in range(1, 400))
 
 
-@pytest.mark.parametrize("hermitian", [False, True])
-def test_engine_at_three_halves_matches_brute_force(rng, hermitian):
+@pytest.mark.parametrize("real", [False, True])
+def test_engine_at_three_halves_matches_brute_force(rng, real):
     grid = _grid(P=6, L=1.0)
-    x = to_spectral(PhysicalField(rng.standard_normal((6, 6, 6)), grid))
-    y = to_spectral(PhysicalField(rng.standard_normal((6, 6, 6)), grid))
-    if not hermitian:  # arbitrary coefficients, Nyquist planes included
-        x = SpectralField(x.data + 1j * rng.standard_normal((6, 6, 6)), grid)
-        y = SpectralField(y.data + rng.standard_normal((6, 6, 6)), grid)
-    want = _brute_convolution(x.data, y.data, 6)
-    got = convolve_pairs([(x.data, y.data)], 6, 9, hermitian=hermitian)
-    assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+    x = to_spectral(PhysicalField(rng.standard_normal((6, 6, 6)), grid)).data
+    y = to_spectral(PhysicalField(rng.standard_normal((6, 6, 6)), grid)).data
+    cases = [(x, y)]
+    if not real:  # arbitrary coefficients, and Hermitian ones whose Nyquist
+        # planes are live: read on their k3 >= 0 halves only, these would miss
+        cases = [(x + 1j * rng.standard_normal(x.shape), y + rng.standard_normal(y.shape)),
+                 (_hermitian_modes(rng, 6), _hermitian_modes(rng, 6))]
+    for x, y in cases:
+        assert _is_real(x) == _is_real(y) == real  # the operands pick the engine
+        want = _brute_convolution(x, y, 6)
+        got = convolve_pairs([(x, y)], 6, 9)
+        assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
 
 def test_engine_one_short_of_three_halves_aliases(rng):
@@ -397,8 +400,8 @@ def test_hermitian_engine_unprojected_output_matches_complex(rng, P):
     Q = padded_size(grid)
     x, y = (to_spectral(PhysicalField(rng.standard_normal((P,) * 3), grid)).data
             for _ in range(2))
-    want = convolve_pairs([(x, y)], P, Q)
-    got = convolve_pairs([(x, y)], P, Q, hermitian=True)
+    want = _convolve_complex([(x, y)], P, Q)
+    got = convolve_pairs([(x, y)], P, Q)
     N = P // 2
     assert np.max(np.abs(want[N])) > 1e-3 * np.max(np.abs(want))  # Nyquist plane is live
     assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
