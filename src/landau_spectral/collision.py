@@ -4,13 +4,16 @@ The periodized Landau operator acts on Fourier coefficients as
 
     Qhat(g, h)(k) = (2L)^-3 sum_{l+m=k; l,m in J_N} ghat(l) hhat(m) beta(l, m),
 
-and since beta is quadratic in m it splits into seven truncated
-convolutions (A, and the six C_ij = Cs l_i l_j with B(l)|m|^2 folded
-into the diagonal C_ii), summed by one FFT engine (``convolve_pairs``).
-For real states it reads the k3 >= 0 half spectra only and zero-pads each
-factor to Q >= 3N points per axis in pruned one-axis passes that skip the
-all-zero columns; the scheme right-hand side carries the state as that
-half through all three stages.
+with beta = A + B|m|^2 + Cs (l.m)^2.  On the output mode k = l + m,
+l.m = (|k|^2 - |l|^2 - |m|^2)/2, so the sum splits into three truncated
+convolution sums weighted by 1, |k|^2 and |k|^4 (the rank form, after
+Mouhot & Pareschi's kernel splitting): four first factors of g and three
+second factors of h, each transformed once, give 7 zero-padded inverse and
+3 forward transforms per evaluation (``_collide``).  The operands pick the
+transforms (``spectral._convolution_transforms``): for real states the
+k3 >= 0 half spectra are zero-padded to Q >= 3N points per axis in pruned
+one-axis passes that skip the all-zero columns, and the scheme right-hand
+side carries the state as that half through all three stages.
 The direct double-sum evaluator is retained as an O(P^6) oracle for
 small P.
 """
@@ -29,11 +32,11 @@ from .spectral import (  # noqa: F401
     ShapeMismatchError,
     SpectralField,
     _assemble,
+    _convolution_transforms,
     _cutoff_half,
     _mode_ints,
     _project_half,
     apply_cutoff,
-    convolve_pairs,
     padded_size,
     project,
 )
@@ -44,11 +47,11 @@ class CostGuardError(RuntimeError):
 
 
 @lru_cache(maxsize=32)
-def _m_broadcast(P: int, K: int):
-    """Float mode coordinates shaped for broadcasting along each axis of a
-    (P, P, K) array (K = P, or N for a k3 >= 0 half)."""
-    k = _mode_ints(P).astype(np.float64)
-    return k[:, None, None], k[None, :, None], k[None, None, :K]
+def _k2(P: int, K: int) -> np.ndarray:
+    """|k|^2 over the modes of a (P, P, K) array (K = P, or N for a k3 >= 0
+    half), FFT order.  Shared: never write to it."""
+    k = _mode_ints(P).astype(np.float64) ** 2
+    return k[:, None, None] + k[None, :, None] + k[None, None, :K]
 
 
 def _check_compatible(ghat: SpectralField, hhat: SpectralField, tables: KernelTables):
@@ -62,40 +65,66 @@ def _check_compatible(ghat: SpectralField, hhat: SpectralField, tables: KernelTa
         )
 
 
-def _term_pairs(gdata: np.ndarray, hdata: np.ndarray, tables: KernelTables):
-    """The seven (first, second) coefficient products whose convolutions sum
-    to (2L)^3 Qhat.  B(l)|m|^2 = sum_i B(l) m_i^2 rides on the diagonal
-    C_ii + B; off-diagonal tensor terms carry their symmetry factor 2.
+def _collide(g: np.ndarray, h: np.ndarray, tables: KernelTables, Q: int) -> np.ndarray:
+    """Qhat(g, h) on J_N, unprojected, in the rank form at Q points per axis.
 
-    l and m run over the same mode integers, so the mode coordinates serve
-    both factors: the first forms C_ij = Cs l_i l_j, the second m_i m_j.
-    The operands are (P, P, P) arrays or (P, P, N) k3 >= 0 halves; the
-    tables are read on the same columns."""
-    P, _, K = gdata.shape
-    m = _m_broadcast(P, K)
+    With the first factors a1 = (A + |l|^4 Cs/4) g, a2 = (B + |l|^2 Cs/2) g,
+    a3 = (Cs/4) g and a4 = |l|^2 a3, the second factors h, |m|^2 h and
+    |m|^4 h, and * the truncated convolution, the sums
+
+        W0 = a1 * h + a2 * |m|^2 h + a3 * |m|^4 h,
+        W1 = -2 (a4 * h + a3 * |m|^2 h),        W2 = a3 * h
+
+    give (2L)^3 Qhat = W0 + |k|^2 W1 + |k|^4 W2.  Each factor is transformed
+    once and each sum forward-transformed as soon as it is complete, so at
+    most five padded arrays are live.  g and h are (P, P, P) arrays or
+    (P, P, N) k3 >= 0 halves; the tables and |k|^2 are read on the same
+    columns.  The factors of real fields are real fields, so g and h alone
+    pick the transforms.  Q >= 3N gives the literal double sum to rounding,
+    less close than separate convolutions since the |k|^4 terms cancel.
+    """
+    P, _, K = g.shape
     A, B, Cs = tables.A[:, :, :K], tables.B[:, :, :K], tables.Cs[:, :, :K]
-    yield A * gdata, hdata
-    for i in range(3):
-        yield (Cs * (m[i] * m[i]) + B) * gdata, (m[i] * m[i]) * hdata
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        yield (Cs * (m[i] * m[j])) * gdata, (2.0 * m[i] * m[j]) * hdata
+    k2 = _k2(P, K)
+    values, modes = _convolution_transforms([g, h], P, Q)
+    a3 = (0.25 * Cs) * g
+    H = values(h)
+    X3 = values(a3)
+    W2 = modes(X3 * H)  # a3 * h
+    W0 = values((A + 0.25 * Cs * k2 * k2) * g)
+    W0 *= H  # a1 * h
+    W1 = values(k2 * a3)
+    W1 *= H  # a4 * h
+    H = values(k2 * h)
+    T = values((B + 0.5 * Cs * k2) * g)
+    T *= H
+    W0 += T  # a2 * |m|^2 h
+    H *= X3
+    W1 += H  # a3 * |m|^2 h
+    del T, H  # before W1's forward pass, which would make a sixth
+    W1 = modes(W1)
+    H = values(k2 * k2 * h)
+    H *= X3
+    W0 += H  # a3 * |m|^4 h
+    out = modes(W0)
+    out += k2 * (k2 * W2 - 2.0 * W1)
+    out /= (2.0 * tables.L) ** 3
+    return out
 
 
 def q_periodic_fast(
     ghat: SpectralField, hhat: SpectralField, tables: KernelTables
 ) -> SpectralField:
-    """FFT evaluation of Qhat(g, h) on J_N, unprojected.
+    """FFT evaluation of Qhat(g, h) on J_N, unprojected, in the rank form.
 
     Works for arbitrary complex coefficients.  When both operands are real
-    fields (``spectral._is_real``) so are the seven coefficient products,
-    and ``convolve_pairs`` runs real transforms on their k3 >= 0 halves.
-    Padded by the 3/2 rule, this is the literal double sum to rounding.
+    fields (``spectral._is_real``) so are the seven factors, and the
+    transforms run real passes on their k3 >= 0 halves.  Padded by the 3/2
+    rule, this is the literal double sum to rounding (``_collide``).
     """
     _check_compatible(ghat, hhat, tables)
     grid = ghat.grid
-    out = convolve_pairs(_term_pairs(ghat.data, hhat.data, tables), grid.P, padded_size(grid))
-    out /= (2.0 * grid.L) ** 3
-    return SpectralField(out, grid)
+    return SpectralField(_collide(ghat.data, hhat.data, tables, padded_size(grid)), grid)
 
 
 def _beta_block(beta, lvec, mblock):
@@ -177,7 +206,9 @@ def q_scheme_rhs(fhat: SpectralField, grid, tables: KernelTables) -> SpectralFie
     The state must be real: only its k3 >= 0 half ``fhat.data[:, :, :N]``
     is read, and it is not checked for Hermitian symmetry (``to_physical``
     and ``apply_cutoff`` check at the public boundary).  Every stage runs
-    on (P, P, N) halves and zeroes its Nyquist rows in place; the whole
+    on (P, P, N) halves and zeroes its Nyquist rows in place; the collision
+    is the rank form (``_collide``), 7 inverse and 3 forward padded
+    transforms; the whole
     (P, P, P) array is assembled once, at the end.  The result equals
     ``project(apply_cutoff(project(q_periodic_fast(F, F, tables))))`` with
     ``F = project(apply_cutoff(fhat))`` bit for bit: F is real, so both
@@ -187,6 +218,5 @@ def q_scheme_rhs(fhat: SpectralField, grid, tables: KernelTables) -> SpectralFie
         raise ShapeMismatchError("state grid differs from the requested grid")
     _check_compatible(fhat, fhat, tables)
     F = _cutoff_half(fhat.data, grid)
-    U = convolve_pairs(_term_pairs(F, F, tables), grid.P, padded_size(grid))
-    U /= (2.0 * grid.L) ** 3
+    U = _collide(F, F, tables, padded_size(grid))
     return SpectralField(_assemble(_cutoff_half(_project_half(U), grid)), grid)

@@ -19,7 +19,6 @@ pair.
 
 from __future__ import annotations
 
-import itertools
 import os
 import struct
 from dataclasses import dataclass
@@ -326,7 +325,8 @@ def _check_hermitian(data: np.ndarray) -> None:
 
 def _is_real(data: np.ndarray) -> bool:
     """Whether ``_check_hermitian`` accepts the coefficients: the one rule
-    for rejecting inputs and for choosing transforms in ``convolve_pairs``."""
+    for rejecting inputs and for choosing transforms
+    (``_convolution_transforms``)."""
     try:
         _check_hermitian(data)
     except HermitianSymmetryError:
@@ -489,56 +489,83 @@ def _padded_values(coeffs: np.ndarray, Q: int) -> np.ndarray:
     return big
 
 
-def convolve_pairs(pairs, P: int, Q: int) -> np.ndarray:
-    """sum_t conv(x_t, y_t) on J_N for FFT-order pairs (x_t, y_t), unprojected,
-    in the shape of the operands.
+def _convolution_transforms(operands, P: int, Q: int):
+    """The transform pair ``(values, modes)`` of truncated convolutions on J_N
+    at Q points per axis, chosen by the operands they will transform.
 
-    The products of the padded point values share one accumulator and one
-    forward transform.  Q >= 3N gives the literal truncated sums; Q < 3N
-    aliases (``padded_size``).  (P, P, N) operands are k3 >= 0 halves of
-    real fields and may stream from a generator; (P, P, P) operands that all
-    pass ``_is_real`` are read on those halves too, in pruned one-axis real
-    passes (``_modes_to_values``).  Any others take complex transforms.
+    ``values(x)`` gives the zero-padded point values of coefficients x shaped
+    like the operands; ``modes(v)`` gives, in that shape and unprojected, the
+    coefficients on J_N of a sum v of products of such values (v may be
+    overwritten), so that ``modes(values(x) * values(y))`` is conv(x, y).
+    Q >= 3N gives the literal truncated sums; Q < 3N aliases
+    (``padded_size``).  (P, P, N) operands are k3 >= 0 halves of real
+    fields; (P, P, P) operands that all pass ``_is_real`` are read on those
+    halves too, in pruned one-axis real passes (``_modes_to_values``).  Any
+    others take complex transforms (``_complex_transforms``).
     """
-    pairs = iter(pairs)
-    first = next(pairs)
-    whole = first[0].shape[2] == P
-    pairs = itertools.chain([first], pairs)
-    if whole:  # listed, to test every operand before the first transform
-        pairs = list(pairs)
-        if not all(_is_real(a) for pair in pairs for a in pair):
-            return _convolve_complex(pairs, P, Q)
+    whole = operands[0].shape[2] == P
+    if whole and not all(_is_real(a) for a in operands):
+        return _complex_transforms(P, Q)
+
+    def values(x):
+        return _modes_to_values(x, Q)
+
+    def modes(v):
+        out = _values_to_modes(v, P) if whole else _rows_to_half(_values_to_rows(v, P), P)
+        out *= float(Q) ** 3
+        return out
+
+    return values, modes
+
+
+def _complex_transforms(P: int, Q: int):
+    """The ``(values, modes)`` pair for any (P, P, P) coefficients: full
+    complex transforms of the zero-padded operands (``_padded_values``)."""
+    idx = _embed_idx(P, Q)
+
+    def values(x):
+        return _padded_values(x, Q)
+
+    def modes(v):
+        for axis in (0, 1, 2):  # from axis 0, as the inverse and the real passes run
+            v = np.fft.fft(v, axis=axis, out=v)
+        out = v[np.ix_(idx, idx, idx)]
+        out *= float(Q) ** 3
+        return out
+
+    return values, modes
+
+
+def _sum_of_products(pairs, values, modes) -> np.ndarray:
+    """modes of the sum of values(x_t) * values(y_t): one accumulator, one
+    forward transform."""
     acc = None
     for x, y in pairs:
-        prod = _modes_to_values(x, Q)
-        prod *= _modes_to_values(y, Q)
+        prod = values(x)
+        prod *= values(y)
         acc = prod if acc is None else np.add(acc, prod, out=acc)
-    out = _values_to_modes(acc, P) if whole else _rows_to_half(_values_to_rows(acc, P), P)
-    out *= float(Q) ** 3
-    return out
+    return modes(acc)
+
+
+def convolve_pairs(pairs, P: int, Q: int) -> np.ndarray:
+    """sum_t conv(x_t, y_t) on J_N for FFT-order pairs (x_t, y_t), unprojected,
+    in the shape of the operands, by the transforms that all the operands
+    together select (``_convolution_transforms``)."""
+    pairs = list(pairs)
+    operands = [a for pair in pairs for a in pair]
+    return _sum_of_products(pairs, *_convolution_transforms(operands, P, Q))
 
 
 def _convolve_complex(pairs, P: int, Q: int) -> np.ndarray:
-    """sum_t conv(x_t, y_t) on J_N for any (P, P, P) coefficients, by full
-    complex transforms of the zero-padded operands (``_padded_values``)."""
-    acc = None
-    for x, y in pairs:
-        prod = _padded_values(x, Q)
-        prod *= _padded_values(y, Q)
-        acc = prod if acc is None else np.add(acc, prod, out=acc)
-    for axis in (0, 1, 2):  # from axis 0, as the inverse and the real passes run
-        acc = np.fft.fft(acc, axis=axis, out=acc)
-    idx = _embed_idx(P, Q)
-    out = acc[np.ix_(idx, idx, idx)]
-    out *= float(Q) ** 3
-    return out
+    """``convolve_pairs`` by complex transforms whatever the operands."""
+    return _sum_of_products(pairs, *_complex_transforms(P, Q))
 
 
 def truncated_convolution(xhat: SpectralField, yhat: SpectralField) -> SpectralField:
     """Mode-space convolution z(k) = sum_{l+m=k, l,m in J_N} x(l) y(m), k in J_N.
 
     Padded by the 3/2 rule, so this is the literal truncated double sum to
-    rounding, for any coefficients (``convolve_pairs`` picks the transforms).
+    rounding, for any coefficients (the operands pick the transforms).
     """
     if xhat.grid != yhat.grid:
         raise ShapeMismatchError("operands live on different grids")

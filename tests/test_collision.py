@@ -1,11 +1,14 @@
 """Bilinear collision operator: fast path vs direct sum, conservation, guards."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from landau_spectral import spectral
 from landau_spectral.collision import (
     CostGuardError,
-    _term_pairs,
+    _collide,
     q_periodic_direct,
     q_periodic_fast,
     q_scheme_rhs,
@@ -17,6 +20,7 @@ from landau_spectral.spectral import (
     ShapeMismatchError,
     SpectralField,
     _is_real,
+    _mode_ints,
     apply_cutoff,
     convolve_pairs,
     padded_size,
@@ -37,6 +41,47 @@ def _hermitian(grid, rng, scale=1.0):
 
 def _hat_l2(fhat):
     return float(np.sqrt(np.sum(np.abs(fhat.data) ** 2)))
+
+
+def _term_pairs(gdata, hdata, tables):
+    """The seven (first, second) coefficient products whose convolutions sum
+    to (2L)^3 Qhat: a reference statement of the operator, independent of
+    the rank form.  B(l)|m|^2 = sum_i B(l) m_i^2 rides on the diagonal
+    C_ii + B; off-diagonal tensor terms carry their symmetry factor 2.
+
+    l and m run over the same mode integers, so the mode coordinates serve
+    both factors: the first forms C_ij = Cs l_i l_j, the second m_i m_j.
+    The operands are (P, P, P) arrays or (P, P, N) k3 >= 0 halves; the
+    tables are read on the same columns."""
+    P, _, K = gdata.shape
+    k = _mode_ints(P).astype(np.float64)
+    m = (k[:, None, None], k[None, :, None], k[None, None, :K])
+    A, B, Cs = tables.A[:, :, :K], tables.B[:, :, :K], tables.Cs[:, :, :K]
+    yield A * gdata, hdata
+    for i in range(3):
+        yield (Cs * (m[i] * m[i]) + B) * gdata, (m[i] * m[i]) * hdata
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        yield (Cs * (m[i] * m[j])) * gdata, (2.0 * m[i] * m[j]) * hdata
+
+
+def _count_padded_transforms(monkeypatch, Q):
+    """Record the operands of the real inverse passes and the number of
+    forward passes that run at Q points per axis."""
+    inverse, forward = [], [0]
+    to_values, to_rows = spectral._modes_to_values, spectral._values_to_rows
+
+    def counted_values(src, n):
+        if n == Q:
+            inverse.append(src)
+        return to_values(src, n)
+
+    def counted_rows(vals, P):
+        forward[0] += vals.shape[0] == Q
+        return to_rows(vals, P)
+
+    monkeypatch.setattr(spectral, "_modes_to_values", counted_values)
+    monkeypatch.setattr(spectral, "_values_to_rows", counted_rows)
+    return inverse, forward
 
 
 # ---------------------------------------------------------------------------
@@ -106,15 +151,18 @@ def test_fast_matches_direct(P, tables_for, rng):
 
 
 @pytest.mark.parametrize("P", [4, 6, 8, 16])
-def test_real_transform_path_matches_direct(P, tables_for, rng):
+def test_real_transform_path_matches_direct(P, tables_for, rng, monkeypatch):
     # the path q_scheme_rhs takes: projected real fields, real transforms,
-    # which every coefficient product of real fields selects
+    # which real g and h select; the seven factors of the rank form that
+    # the real passes then read are real fields too
     grid = _grid(P=P, L=1.7)
     tables = tables_for(grid)
     g = _hermitian(grid, rng)
     h = _hermitian(grid, rng)
-    assert all(_is_real(a) for pair in _term_pairs(g.data, h.data, tables) for a in pair)
+    factors, _ = _count_padded_transforms(monkeypatch, padded_size(grid))
     fast = q_periodic_fast(g, h, tables)
+    assert len(factors) == 7
+    assert all(a.shape == (P,) * 3 and _is_real(a) for a in factors)
     direct = q_periodic_direct(g, h)
     scale = np.max(np.abs(direct.data))
     assert np.max(np.abs(fast.data - direct.data)) < 1e-12 * scale
@@ -129,6 +177,23 @@ def test_three_halves_padding_matches_double_padding(P, tables_for, rng):
     got = convolve_pairs(_term_pairs(g.data, g.data, tables), P, padded_size(grid))
     assert padded_size(grid) == 3 * P // 2
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("P", [32, 48])
+def test_rank_form_matches_seven_pairs_and_double_padding(P, tables_for, rng):
+    # the |k|^4 terms of the rank form cancel at high |k|, so it sits further
+    # from the seven separate convolutions than they sit from each other:
+    # measured 3.8e-14 (P = 32) and 1.6e-13 (P = 48) against the seven-pair
+    # form, and 4.2e-14 and 2.0e-13 for 3N against 2P padding; bound 1e-12
+    grid = _grid(P=P, L=1.8)
+    tables = tables_for(grid)
+    g = _hermitian(grid, rng).data
+    Q = padded_size(grid)
+    got = _collide(g, g, tables, Q)
+    seven = convolve_pairs(_term_pairs(g, g, tables), P, Q) / (2 * grid.L) ** 3
+    scale = np.max(np.abs(seven))
+    assert np.max(np.abs(got - seven)) <= 1e-12 * scale
+    assert np.max(np.abs(got - _collide(g, g, tables, 2 * P))) <= 1e-12 * scale
 
 
 def test_direct_sum_with_constant_kernel_is_a_convolution(rng):
@@ -258,6 +323,39 @@ def test_scheme_rhs_equals_the_public_stage_composition(P, shape, tables_for, rn
     got = q_scheme_rhs(f, grid, tables)
     assert np.array_equal(got.data, want.data)
     assert np.array_equal(f.data, kept)
+
+
+def test_scheme_rhs_collision_makes_seven_inverse_and_three_forward_transforms(
+    tables_for, rng, monkeypatch
+):
+    # the rank form: 4 first factors of g and 3 second factors of h, each
+    # transformed once, and one forward pass per sum W0, W1, W2.  The
+    # cutoffs transform at oversample * P = 16 points, not at Q = 12
+    grid = _grid(P=8)
+    Q = padded_size(grid)
+    assert Q != grid.oversample * grid.P
+    tables = tables_for(grid)
+    f = _hermitian(grid, rng, scale=0.1)
+    inverse, forward = _count_padded_transforms(monkeypatch, Q)
+    q_scheme_rhs(f, grid, tables)
+    assert (len(inverse), forward[0]) == (7, 3)
+
+
+def test_scheme_rhs_traced_peak_stays_small(tables_for, rng):
+    # each sum is forward-transformed as soon as it is complete, so at most
+    # five padded arrays are live: 6.2 MiB traced at P = 32, against 11.2 MiB
+    # when all seven factors are transformed first
+    grid = _grid(P=32, L=1.8)
+    tables = tables_for(grid)
+    f = _hermitian(grid, rng, scale=0.1)
+    q_scheme_rhs(f, grid, tables)  # warm: caches of cutoff values and |k|^2
+    tracemalloc.start()
+    try:
+        q_scheme_rhs(f, grid, tables)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * 2**20
 
 
 def test_scheme_rhs_grid_mismatch_raises(tables_for, rng):
