@@ -38,7 +38,6 @@ from .spectral import (
     SnapshotFormatError,
     SpectralField,
     _mode_ints,
-    project,
     read_snapshot,
     to_physical,
     to_spectral,
@@ -134,7 +133,7 @@ class RunConfig:
                 raise ConfigError(f"line {lineno}: key {key!r} already set on line {set_on[key]}")
             set_on[key] = lineno
             try:
-                kwargs[key] = _convert(key, val)
+                kwargs[key] = _convert(kinds[key], val)
             except ValueError as exc:
                 raise ConfigError(f"line {lineno}: {exc}") from exc
         try:
@@ -143,20 +142,16 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
 
 
-_INT_KEYS = {"P", "oversample", "sample_every", "snapshot_every", "threads"}
-_FLOAT_KEYS = {
-    "L", "gamma", "R", "dt", "t_end", "bkw_rate", "bkw_amplitude",
-    "shell_sigma", "shell_s", "quad_tol",
-}
-
-
-def _convert(key: str, val: str):
-    if key in _INT_KEYS:
+def _convert(field, val: str):
+    """``val`` as the type of the RunConfig field: its annotation is the
+    string "int", "float", "float | None" or "str"."""
+    key = field.name
+    if field.type == "int":
         try:
             return int(val)
         except ValueError:
             raise ValueError(f"key {key!r} expects an integer, got {val!r}")
-    if key in _FLOAT_KEYS:
+    if field.type.startswith("float"):
         try:
             x = float(val)
         except ValueError:
@@ -186,7 +181,7 @@ def _build_initial(cfg: RunConfig, grid: GridSpec):
             f"config wants P={grid.P}, L={grid.L}, gamma={grid.gamma}"
         )
     # restart semantics: the stored state is used as-is (no fresh cutoff)
-    return project(to_spectral(PhysicalField(vals, grid))), None
+    return to_spectral(PhysicalField(vals, grid)), None
 
 
 def cmd_run(cfg: RunConfig) -> int:

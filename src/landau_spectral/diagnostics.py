@@ -50,7 +50,6 @@ def _r2_grid(grid: GridSpec, n: int) -> np.ndarray:
     return v[:, None, None] ** 2 + v[None, :, None] ** 2 + v[None, None, :] ** 2
 
 
-@lru_cache(maxsize=16)
 def _v_stack(grid: GridSpec, n: int) -> np.ndarray:
     v = velocity_axis(grid, n)
     out = np.empty((n, n, n, 3))
@@ -90,8 +89,9 @@ def maxwellian_of(ms: MomentSet, grid: GridSpec, n: int | None = None) -> Physic
         raise DegenerateStateError(f"no Maxwellian for rho = {ms.rho}")
     if not np.isfinite(ms.T) or ms.T <= 0.0:
         raise DegenerateStateError(f"no Maxwellian for T = {ms.T}")
-    V = _v_stack(grid, n)
-    dv2 = np.sum((V - ms.u) ** 2, axis=-1)
+    v = velocity_axis(grid, n)
+    d = [(v - u) ** 2 for u in ms.u]  # per axis: no (n, n, n, 3) stack on each sample
+    dv2 = d[0][:, None, None] + d[1][None, :, None] + d[2][None, None, :]
     vals = ms.rho * (2.0 * np.pi * ms.T) ** -1.5 * np.exp(-dv2 / (2.0 * ms.T))
     return PhysicalField(vals, grid)
 

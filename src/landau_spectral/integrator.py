@@ -7,14 +7,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collision import q_scheme_rhs
-from .diagnostics import sample_state
+from .diagnostics import _v_stack, sample_state
 from .kernel import KernelTables
 from .spectral import (
     GridSpec,
     PhysicalField,
     SpectralField,
     _psi_grid_values,
-    project,
     to_spectral,
 )
 
@@ -77,8 +76,6 @@ def initial_state(f0, grid: GridSpec) -> SpectralField:
     the oversampled collocation grid so the projection quadrature matches
     the one used for cutoff multiplications during the run.
     """
-    from .diagnostics import _v_stack  # local import to avoid a cycle at import time
-
     n = grid.oversample * grid.P
     V = _v_stack(grid, n)
     vals = np.asarray(f0(V), dtype=np.float64)

@@ -238,19 +238,19 @@ def _profiles_from_integrals(ll, F1, F2, gamma: float, L: float):
             np.pi * c * (F2 - F1) / ll ** ((gamma + 7.0) / 2.0))
 
 
-def _cumulative_integrals(x, gamma: float, tol: float, limit: int):
+def _cumulative_integrals(x, gamma: float, tol: float):
     """(F1, F2) at ascending radii x: each panel [x_(i-1), x_i] once, summed."""
     p = gamma + 4.0
     f1 = lambda u: u**p * _i1(u)
     f2 = lambda u: u**p * (_i1(u) + 2.0 * _i2(u))
     edges = np.concatenate(([0.0], x))
-    panels = np.array([[_quad_or_raise(f, b, tol, limit, lo=a) for f in (f1, f2)]
+    panels = np.array([[_quad_or_raise(f, b, tol, 200, lo=a) for f in (f1, f2)]
                        for a, b in zip(edges[:-1], edges[1:])]).reshape(-1, 2)
     F = np.cumsum(panels, axis=0)
     return 2.0 * F[:, 0], F[:, 1]
 
 
-def radial_profiles(ll, gamma: float, L: float, tol: float = 1e-10, limit: int = 200):
+def radial_profiles(ll, gamma: float, L: float, tol: float = 1e-10):
     """Radial profiles (A, B, Cs) of the tables at distinct squared radii.
 
     ``ll`` holds distinct integers |l|^2 >= 0 in ascending order (as
@@ -258,7 +258,7 @@ def radial_profiles(ll, gamma: float, L: float, tol: float = 1e-10, limit: int =
     C_ij = Cs l_i l_j.  The zero mode gets A = Cs = 0 and B = B(0).
     Coulomb uses the closed form, gamma = 0 the elementary
     antiderivatives, and any other gamma the cumulative quadrature with
-    tolerance ``tol`` and subdivision cap ``limit`` per panel.  Every
+    tolerance ``tol`` and subdivision cap 200 per panel.  Every
     nonzero mode has x = pi |l| >= pi, so no small-x branch is needed.
     """
     ll = np.asarray(ll, dtype=np.int64)
@@ -277,7 +277,7 @@ def radial_profiles(ll, gamma: float, L: float, tol: float = 1e-10, limit: int =
             F1 = 8.0 * (3.0 * s - 3.0 * x * c - x * x * s)
             F2 = 4.0 * (-x**3 * c + 4.0 * x * x * s + 9.0 * x * c - 9.0 * s)
         else:
-            F1, F2 = _cumulative_integrals(x, gamma, tol, limit)
+            F1, F2 = _cumulative_integrals(x, gamma, tol)
         profiles = _profiles_from_integrals(q, F1, F2, gamma, L)
         B0 = _b_zero_mode(gamma, L)
     out = np.zeros((3, ll.size))
@@ -286,12 +286,12 @@ def radial_profiles(ll, gamma: float, L: float, tol: float = 1e-10, limit: int =
     return out
 
 
-def build_kernel_tables(grid: GridSpec, tol: float = 1e-10, limit: int = 200) -> KernelTables:
+def build_kernel_tables(grid: GridSpec, tol: float = 1e-10) -> KernelTables:
     """Tabulate the profiles A, B, Cs over the grid's mode set.
 
     The radial profiles are evaluated once per distinct |l|^2 (1057 values
     at P = 48, against 110592 modes) by ``radial_profiles`` and scattered back
-    onto the grid; ``tol`` and ``limit`` reach only the cumulative
+    onto the grid; ``tol`` reaches only the cumulative
     quadrature used when gamma is neither -3 nor 0.  The collision forms
     each C_ij = Cs l_i l_j from Cs where it needs it.
     """
@@ -299,7 +299,7 @@ def build_kernel_tables(grid: GridSpec, tol: float = 1e-10, limit: int = 200) ->
     ll = k[:, None, None] ** 2 + k[None, :, None] ** 2 + k[None, None, :] ** 2
     uniq, inv = np.unique(ll, return_inverse=True)
     A, B, Cs = (p[inv].reshape(ll.shape)
-                for p in radial_profiles(uniq, grid.gamma, grid.L, tol, limit))
+                for p in radial_profiles(uniq, grid.gamma, grid.L, tol))
     return KernelTables(gamma=grid.gamma, L=grid.L, P=grid.P, A=A, B=B, Cs=Cs)
 
 

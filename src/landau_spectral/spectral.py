@@ -180,9 +180,10 @@ def _mode_ints(P: int) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _phase3(P: int) -> np.ndarray:
-    """(-1)^(k1+k2+k3) over the mode set; relates samples on [-L, L) to DFT order."""
+    """(-1)^(k1+k2+k3) over the k3 >= 0 half of the mode set; relates samples
+    on [-L, L) to DFT order."""
     s = 1.0 - 2.0 * (np.abs(_mode_ints(P)) % 2).astype(np.float64)
-    return s[:, None, None] * s[None, :, None] * s[None, None, :]
+    return s[:, None, None] * s[None, :, None] * s[None, None, : P // 2]
 
 
 def _embed_idx(P: int, n: int) -> np.ndarray:
@@ -204,16 +205,10 @@ def _modes_to_values(src: np.ndarray, n: int) -> np.ndarray:
     """
     P = src.shape[0]
     N = P // 2
-    a = src[:, :, :N]
-    if n == P:  # nothing to pad
-        a = np.fft.ifft(a, axis=0)
-        return np.fft.irfft(np.fft.ifft(a, axis=1, out=a), n, axis=2)
+    idx = _embed_idx(P, n)
     big = np.zeros((n, n, N), dtype=np.complex128)
-    cut = ((slice(None, N), slice(None, N)), (slice(n - N, None), slice(N, None)))
-    for dst0, src0 in cut:
-        for dst1, src1 in cut:
-            big[dst0, dst1] = a[src0, src1]
-    for cols, _ in cut:
+    big[np.ix_(idx, idx)] = src[:, :, :N]
+    for cols in (slice(None, N), slice(n - N, None)):
         np.fft.ifft(big[:, cols], axis=0, out=big[:, cols])
     np.fft.ifft(big, axis=1, out=big)
     return np.fft.irfft(big, n, axis=2)
@@ -221,44 +216,33 @@ def _modes_to_values(src: np.ndarray, n: int) -> np.ndarray:
 
 def _values_to_rows(vals: np.ndarray, P: int) -> np.ndarray:
     """DFT of real samples on an n^3 grid at k3 = 0..N and, on axes 0 and 1,
-    the rows k = -N..N (all n = P rows when there is nothing to prune).
+    the rows of J_N in FFT order followed by the k = +N row: a
+    (P + 1, P + 1, N + 1) array whose k3 >= 0 half is ``[:P, :P, :N]``.
 
     The mirror image of ``_modes_to_values``: an r2c pass along axis 2
-    keeps k3 = 0..N, then passes along axes 0 and 1 each keep the rows
-    k = -N..N.  The k = +N row is the conjugate partner of the k = -N
-    Nyquist row.
+    keeps k3 = 0..N, then passes along axes 0 and 1 each keep those rows.
+    The k = +N row (row P) is the conjugate partner of the k = -N Nyquist
+    row.
     """
     N = P // 2
-    n = vals.shape[0]
-    keep = np.r_[: N + 1, n - N : n] if n > P else slice(None)  # nothing to prune at n = P
+    keep = np.r_[_embed_idx(P, vals.shape[0]), N]
     a = np.fft.rfft(vals, axis=2)[:, :, : N + 1]
     a = np.fft.fft(a, axis=0)[keep]
-    return np.fft.fft(a, axis=1, out=a)[:, keep]  # a is ours: a new array or its row copy
-
-
-def _row_index(P: int, M: int):
-    """Rows of the modes of J_N, and of their negatives, among M kept rows."""
-    k = _mode_ints(P)
-    return k % M, -k % M
-
-
-def _rows_to_half(a: np.ndarray, P: int) -> np.ndarray:
-    """The (P, P, N) k3 >= 0 half, FFT order, of the kept rows ``a``."""
-    pos, _ = _row_index(P, a.shape[0])
-    return a[np.ix_(pos, pos, np.arange(P // 2))]
+    return np.fft.fft(a, axis=1, out=a)[:, keep]  # a is ours: a row copy
 
 
 def _values_to_modes(vals: np.ndarray, P: int) -> np.ndarray:
     """DFT values at every mode of J_N of real samples on an n^3 grid.
 
     Unprojected: negative k3 are rebuilt from the partner (-k1,-k2,-k3) of
-    the kept rows by conjugation, the k3 = -N plane from k3 = +N.
+    the kept rows by conjugation, the k3 = -N plane from k3 = +N (row P).
     """
     N = P // 2
     a = _values_to_rows(vals, P)
-    _, neg = _row_index(P, a.shape[0])
+    neg = -_mode_ints(P) % P
+    neg[N] = P
     out = np.empty((P, P, P), dtype=np.complex128)
-    out[:, :, :N] = _rows_to_half(a, P)
+    out[:, :, :N] = a[:P, :P, :N]
     out[:, :, N:] = np.conj(a[np.ix_(neg, neg, np.arange(N, 0, -1))])
     return out
 
@@ -288,8 +272,7 @@ def _assemble(half: np.ndarray) -> np.ndarray:
 def _half_to_values(src: np.ndarray, grid: GridSpec, n: int) -> np.ndarray:
     """Point values on the n^3 grid of a real field from its k3 >= 0 half
     ``src[:, :, :N]`` (``src`` is the whole array or just that half)."""
-    N = grid.N
-    vals = _modes_to_values(src[:, :, :N] * _phase3(grid.P)[:, :, :N], n)
+    vals = _modes_to_values(src[:, :, : grid.N] * _phase3(grid.P), n)
     vals *= n**3 / (2.0 * grid.L) ** 3
     return vals
 
@@ -297,8 +280,8 @@ def _half_to_values(src: np.ndarray, grid: GridSpec, n: int) -> np.ndarray:
 def _values_to_half(vals: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Projected k3 >= 0 half of the rectangle-rule coefficients of samples."""
     P = grid.P
-    half = _rows_to_half(_values_to_rows(vals, P), P)
-    half *= _phase3(P)[:, :, : P // 2] * (2.0 * grid.L / vals.shape[0]) ** 3
+    half = _values_to_rows(vals, P)[:P, :P, : P // 2]
+    half *= _phase3(P) * (2.0 * grid.L / vals.shape[0]) ** 3
     return _project_half(half)
 
 
@@ -352,10 +335,10 @@ def to_spectral(field: PhysicalField) -> SpectralField:
     """Forward transform: rectangle-rule Fourier coefficients on J_N.
 
     The grid size must be a multiple of P; modes above N-1 are discarded
-    (projection) and the Nyquist planes are zeroed.  Above n = P the
-    transform runs one axis at a time and keeps only the rows of the
-    modes -N..N after each pass (``_values_to_rows``).  The k3 >= 0 half
-    is computed and the negative k3 are its conjugates (``_assemble``).
+    (projection) and the Nyquist planes are zeroed.  The transform runs
+    one axis at a time and keeps only the rows of the modes -N..N after
+    each pass (``_values_to_rows``).  The k3 >= 0 half is computed and
+    the negative k3 are its conjugates (``_assemble``).
     """
     grid = field.grid
     P = grid.P
@@ -472,23 +455,6 @@ def _next_fast_len(n: int) -> int:
         n += 1
 
 
-def _padded_values(coeffs: np.ndarray, Q: int) -> np.ndarray:
-    """Inverse DFT of (P,P,P) coefficients zero-padded to a Q^3 grid.
-
-    Unscaled passes from axis 0, in place, with the whole 1/Q^3 applied
-    once after the first, as one 3-D pocketfft inverse (``scipy.fft.ifftn``)
-    does; ``np.fft.ifftn`` would start at axis 2 and scale every pass.
-    """
-    idx = _embed_idx(coeffs.shape[0], Q)
-    big = np.zeros((Q, Q, Q), dtype=np.complex128)
-    big[np.ix_(idx, idx, idx)] = coeffs
-    big = np.fft.ifft(big, axis=0, norm="forward", out=big)
-    big *= 1.0 / Q**3
-    for axis in (1, 2):
-        big = np.fft.ifft(big, axis=axis, norm="forward", out=big)
-    return big
-
-
 def _convolution_transforms(operands, P: int, Q: int):
     """The transform pair ``(values, modes)`` of truncated convolutions on J_N
     at Q points per axis, chosen by the operands they will transform.
@@ -511,7 +477,7 @@ def _convolution_transforms(operands, P: int, Q: int):
         return _modes_to_values(x, Q)
 
     def modes(v):
-        out = _values_to_modes(v, P) if whole else _rows_to_half(_values_to_rows(v, P), P)
+        out = _values_to_modes(v, P) if whole else _values_to_rows(v, P)[:P, :P, : P // 2]
         out *= float(Q) ** 3
         return out
 
@@ -519,17 +485,18 @@ def _convolution_transforms(operands, P: int, Q: int):
 
 
 def _complex_transforms(P: int, Q: int):
-    """The ``(values, modes)`` pair for any (P, P, P) coefficients: full
-    complex transforms of the zero-padded operands (``_padded_values``)."""
+    """The ``(values, modes)`` pair for any (P, P, P) coefficients: n-D
+    complex transforms of the zero-padded Q^3 cube."""
     idx = _embed_idx(P, Q)
+    ix = np.ix_(idx, idx, idx)
 
     def values(x):
-        return _padded_values(x, Q)
+        big = np.zeros((Q, Q, Q), dtype=np.complex128)
+        big[ix] = x
+        return np.fft.ifftn(big, out=big)
 
     def modes(v):
-        for axis in (0, 1, 2):  # from axis 0, as the inverse and the real passes run
-            v = np.fft.fft(v, axis=axis, out=v)
-        out = v[np.ix_(idx, idx, idx)]
+        out = np.fft.fftn(v, out=v)[ix]
         out *= float(Q) ** 3
         return out
 

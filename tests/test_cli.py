@@ -57,6 +57,10 @@ def test_config_parse_error_positions():
         RunConfig.parse("just some words\n")
     with pytest.raises(ConfigError, match="line 3: key 'dt' already set on line 1"):
         RunConfig.parse("dt = 0.05\nt_end = 1\ndt = 0.01\n")
+    with pytest.raises(ConfigError, match="line 1: key 'R' expects a number"):
+        RunConfig.parse("R = abc\n")
+    with pytest.raises(ConfigError, match="line 1: key 'oversample' expects an integer"):
+        RunConfig.parse("oversample = 2.5\n")
     # the convolutions always follow the 3/2 rule and every process builds
     # its own kernel tables: neither option exists, so old configs fail here
     for key, val in (("padding", "exact"), ("kernel_cache", "tables")):

@@ -1,5 +1,6 @@
 """Names that outside code looks up on the package must keep resolving."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import landau_spectral
 
 LAUNCH = Path(__file__).resolve().parents[1] / "perfbench" / "launch.py"
+PACKAGE = Path(landau_spectral.__file__).resolve().parent
 
 
 def _launch_module():
@@ -29,3 +31,25 @@ def test_benchmark_probe_targets_exist():
 def test_public_names_resolve():
     missing = [name for name in landau_spectral.__all__ if not hasattr(landau_spectral, name)]
     assert not missing
+
+
+def test_modules_import_only_names_they_use():
+    # a name a module imports but never uses is dead weight, unless the
+    # benchmark's launcher wraps it on that module (launch.TRACED)
+    wrapped = {(m, a) for m, a, _ in _launch_module().TRACED}
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [(a.asname or a.name).split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused += [f"{path.stem}.{name}" for name in names
+                       if name not in used and (path.stem, name) not in wrapped]
+    assert not unused

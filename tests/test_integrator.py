@@ -1,5 +1,7 @@
 """RK4 stepping, run-loop plumbing, blow-up detection."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,22 @@ def test_initial_state_cutoff_removes_tail_mass():
     m_clip = clipped.data[0, 0, 0].real
     assert m_clip < m_plain
     assert m_plain - m_clip < 1e-3
+
+
+def test_initial_state_frees_the_sampling_stack():
+    # f0 is sampled on an (n, n, n, 3) velocity stack at n = oversample * P;
+    # nothing may keep it once the call returns (a grid no other test uses,
+    # so no cache was warm before)
+    grid = GridSpec(L=3.7, P=16, gamma=-3.0)
+    n = grid.oversample * grid.P
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        initial_state(_f0(), grid)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < n**3 * 3 * 8
 
 
 # ---------------------------------------------------------------------------
