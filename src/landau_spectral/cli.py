@@ -220,6 +220,8 @@ def cmd_convergence(cfg: RunConfig, grids: list[int]) -> int:
         raise ConfigError("convergence studies need init=bkw (the exact solution)")
     if cfg.gamma != 0.0:
         raise ConfigError("the BKW reference solves the gamma=0 equation; set gamma=0")
+    if cfg.snapshot_every > 0:
+        raise ConfigError("convergence writes no snapshots; set snapshot_every = 0")
     if not grids:
         raise ConfigError("--grids lists no grid size")
     for i, P in enumerate(grids):

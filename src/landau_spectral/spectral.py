@@ -467,65 +467,35 @@ def _convolution_transforms(operands, P: int, Q: int):
     (``padded_size``).  (P, P, N) operands are k3 >= 0 halves of real
     fields; (P, P, P) operands that all pass ``_is_real`` are read on those
     halves too, in pruned one-axis real passes (``_modes_to_values``).  Any
-    others take complex transforms (``_complex_transforms``).
+    others take n-D complex transforms of the zero-padded Q^3 cube.
     """
     whole = operands[0].shape[2] == P
-    if whole and not all(_is_real(a) for a in operands):
-        return _complex_transforms(P, Q)
+    if not whole or all(_is_real(a) for a in operands):
 
-    def values(x):
-        return _modes_to_values(x, Q)
+        def values(x):
+            return _modes_to_values(x, Q)
+
+        def forward(v):
+            return _values_to_modes(v, P) if whole else _values_to_rows(v, P)[:P, :P, : P // 2]
+
+    else:
+        idx = _embed_idx(P, Q)
+        ix = np.ix_(idx, idx, idx)
+
+        def values(x):
+            big = np.zeros((Q, Q, Q), dtype=np.complex128)
+            big[ix] = x
+            return np.fft.ifftn(big, out=big)
+
+        def forward(v):
+            return np.fft.fftn(v, out=v)[ix]
 
     def modes(v):
-        out = _values_to_modes(v, P) if whole else _values_to_rows(v, P)[:P, :P, : P // 2]
+        out = forward(v)
         out *= float(Q) ** 3
         return out
 
     return values, modes
-
-
-def _complex_transforms(P: int, Q: int):
-    """The ``(values, modes)`` pair for any (P, P, P) coefficients: n-D
-    complex transforms of the zero-padded Q^3 cube."""
-    idx = _embed_idx(P, Q)
-    ix = np.ix_(idx, idx, idx)
-
-    def values(x):
-        big = np.zeros((Q, Q, Q), dtype=np.complex128)
-        big[ix] = x
-        return np.fft.ifftn(big, out=big)
-
-    def modes(v):
-        out = np.fft.fftn(v, out=v)[ix]
-        out *= float(Q) ** 3
-        return out
-
-    return values, modes
-
-
-def _sum_of_products(pairs, values, modes) -> np.ndarray:
-    """modes of the sum of values(x_t) * values(y_t): one accumulator, one
-    forward transform."""
-    acc = None
-    for x, y in pairs:
-        prod = values(x)
-        prod *= values(y)
-        acc = prod if acc is None else np.add(acc, prod, out=acc)
-    return modes(acc)
-
-
-def convolve_pairs(pairs, P: int, Q: int) -> np.ndarray:
-    """sum_t conv(x_t, y_t) on J_N for FFT-order pairs (x_t, y_t), unprojected,
-    in the shape of the operands, by the transforms that all the operands
-    together select (``_convolution_transforms``)."""
-    pairs = list(pairs)
-    operands = [a for pair in pairs for a in pair]
-    return _sum_of_products(pairs, *_convolution_transforms(operands, P, Q))
-
-
-def _convolve_complex(pairs, P: int, Q: int) -> np.ndarray:
-    """``convolve_pairs`` by complex transforms whatever the operands."""
-    return _sum_of_products(pairs, *_complex_transforms(P, Q))
 
 
 def truncated_convolution(xhat: SpectralField, yhat: SpectralField) -> SpectralField:
@@ -537,8 +507,11 @@ def truncated_convolution(xhat: SpectralField, yhat: SpectralField) -> SpectralF
     if xhat.grid != yhat.grid:
         raise ShapeMismatchError("operands live on different grids")
     grid = xhat.grid
-    Q = padded_size(grid)
-    return SpectralField(convolve_pairs([(xhat.data, yhat.data)], grid.P, Q), grid)
+    x, y = xhat.data, yhat.data
+    values, modes = _convolution_transforms([x, y], grid.P, padded_size(grid))
+    v = values(x)
+    v *= values(y)
+    return SpectralField(modes(v), grid)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from landau_spectral.kernel import build_kernel_tables
-from landau_spectral.spectral import PhysicalField, to_spectral
 
 _TABLE_CACHE = {}
 
@@ -23,14 +22,3 @@ def tables_for():
 @pytest.fixture
 def rng():
     return np.random.default_rng(182750)
-
-
-@pytest.fixture
-def random_state():
-    """Factory for random physically-real states (Hermitian coefficients)."""
-
-    def make(grid, rng, scale=1.0):
-        vals = scale * rng.standard_normal((grid.P,) * 3)
-        return to_spectral(PhysicalField(vals, grid))
-
-    return make

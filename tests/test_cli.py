@@ -337,6 +337,9 @@ def test_convergence_rejects_bad_setups(tmp_path, capsys):
     assert main(["convergence", str(shell), "--grids", "8"]) == 1
     coul = _write_cfg(tmp_path, name="c.cfg", gamma=-3.0)
     assert main(["convergence", str(coul), "--grids", "8"]) == 1
+    snap = _write_cfg(tmp_path, name="snap.cfg", snapshot_every=1)
+    assert main(["convergence", str(snap), "--grids", "8"]) == 1
+    assert "snapshot_every" in capsys.readouterr().err
 
 
 def test_kernel_check_command(capsys, monkeypatch):

@@ -22,7 +22,6 @@ from landau_spectral.spectral import (
     _is_real,
     _mode_ints,
     apply_cutoff,
-    convolve_pairs,
     padded_size,
     project,
     to_spectral,
@@ -62,6 +61,16 @@ def _term_pairs(gdata, hdata, tables):
         yield (Cs * (m[i] * m[i]) + B) * gdata, (m[i] * m[i]) * hdata
     for i, j in ((0, 1), (0, 2), (1, 2)):
         yield (Cs * (m[i] * m[j])) * gdata, (2.0 * m[i] * m[j]) * hdata
+
+
+def _sum_of_term_pairs(gdata, hdata, tables, Q):
+    """The sum of the convolutions of ``_term_pairs``' seven products at Q
+    points per axis, through the engine's transform pair: part of the
+    reference."""
+    pairs = list(_term_pairs(gdata, hdata, tables))
+    values, modes = spectral._convolution_transforms(
+        [a for pair in pairs for a in pair], gdata.shape[0], Q)
+    return modes(sum(values(x) * values(y) for x, y in pairs))
 
 
 def _count_padded_transforms(monkeypatch, Q):
@@ -173,8 +182,8 @@ def test_three_halves_padding_matches_double_padding(P, tables_for, rng):
     grid = _grid(P=P, L=1.8)
     tables = tables_for(grid)
     g = _hermitian(grid, rng)
-    want = convolve_pairs(_term_pairs(g.data, g.data, tables), P, 2 * P)
-    got = convolve_pairs(_term_pairs(g.data, g.data, tables), P, padded_size(grid))
+    want = _sum_of_term_pairs(g.data, g.data, tables, 2 * P)
+    got = _sum_of_term_pairs(g.data, g.data, tables, padded_size(grid))
     assert padded_size(grid) == 3 * P // 2
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -190,7 +199,7 @@ def test_rank_form_matches_seven_pairs_and_double_padding(P, tables_for, rng):
     g = _hermitian(grid, rng).data
     Q = padded_size(grid)
     got = _collide(g, g, tables, Q)
-    seven = convolve_pairs(_term_pairs(g, g, tables), P, Q) / (2 * grid.L) ** 3
+    seven = _sum_of_term_pairs(g, g, tables, Q) / (2 * grid.L) ** 3
     scale = np.max(np.abs(seven))
     assert np.max(np.abs(got - seven)) <= 1e-12 * scale
     assert np.max(np.abs(got - _collide(g, g, tables, 2 * P))) <= 1e-12 * scale
@@ -330,15 +339,20 @@ def test_scheme_rhs_collision_makes_seven_inverse_and_three_forward_transforms(
 ):
     # the rank form: 4 first factors of g and 3 second factors of h, each
     # transformed once, and one forward pass per sum W0, W1, W2.  The
-    # cutoffs transform at oversample * P = 16 points, not at Q = 12
+    # cutoffs transform at oversample * P = 16 points, not at Q = 12.  The
+    # (P, P, N) halves select the real passes by their shape, so the march
+    # pays no Hermitian check
     grid = _grid(P=8)
     Q = padded_size(grid)
     assert Q != grid.oversample * grid.P
     tables = tables_for(grid)
     f = _hermitian(grid, rng, scale=0.1)
     inverse, forward = _count_padded_transforms(monkeypatch, Q)
+    checks = []
+    check = spectral._check_hermitian
+    monkeypatch.setattr(spectral, "_check_hermitian", lambda data: checks.append(check(data)))
     q_scheme_rhs(f, grid, tables)
-    assert (len(inverse), forward[0]) == (7, 3)
+    assert (len(inverse), forward[0], len(checks)) == (7, 3, 0)
 
 
 def test_scheme_rhs_traced_peak_stays_small(tables_for, rng):

@@ -53,3 +53,30 @@ def test_modules_import_only_names_they_use():
             unused += [f"{path.stem}.{name}" for name in names
                        if name not in used and (path.stem, name) not in wrapped]
     assert not unused
+
+
+def test_module_level_names_are_public_or_used():
+    # a module-level function, class or assigned name that is neither
+    # exported nor read anywhere in the package is dead code
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    dead = []
+    for stem, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            dead += [f"{stem}.{name}" for name in names
+                     if not (name.startswith("__") and name.endswith("__"))
+                     and name not in landau_spectral.__all__ and name not in read]
+    assert not dead

@@ -14,7 +14,6 @@ from landau_spectral.spectral import (
     SnapshotFormatError,
     SpectralField,
     apply_cutoff,
-    convolve_pairs,
     padded_size,
     project,
     psi_R,
@@ -27,7 +26,7 @@ from landau_spectral.spectral import (
 )
 from landau_spectral.spectral import (
     _LSFD_HEADER,
-    _convolve_complex,
+    _convolution_transforms,
     _is_real,
     _modes_to_values,
     _next_fast_len,
@@ -281,12 +280,27 @@ def test_convolution_grid_mismatch_raises(rng):
         truncated_convolution(a, b)
 
 
+def _padded_convolution(pairs, P, Q):
+    """sum_t conv(x_t, y_t) on J_N by n-D complex transforms of zero-padded
+    Q^3 cubes: a reference independent of the engine's code."""
+    N = P // 2
+    idx = np.r_[:N, Q - N : Q]
+    ix = np.ix_(idx, idx, idx)
+    acc = np.zeros((Q,) * 3, dtype=np.complex128)
+    for x, y in pairs:
+        X, Y = np.zeros_like(acc), np.zeros_like(acc)
+        X[ix], Y[ix] = x, y
+        acc += scipy.fft.ifftn(X) * scipy.fft.ifftn(Y)
+    return scipy.fft.fftn(acc)[ix] * float(Q) ** 3
+
+
 def test_hermitian_engine_matches_complex(rng):
     grid = _grid(P=8, L=2.0)
     x = to_spectral(PhysicalField(rng.standard_normal((8, 8, 8)), grid))
     y = to_spectral(PhysicalField(rng.standard_normal((8, 8, 8)), grid))
-    want = _convolve_complex([(x.data, y.data)], grid.P, 2 * grid.P)
-    got = convolve_pairs([(x.data, y.data)], grid.P, 2 * grid.P)
+    want = _padded_convolution([(x.data, y.data)], grid.P, 2 * grid.P)
+    values, modes = _convolution_transforms([x.data, y.data], grid.P, 2 * grid.P)
+    got = modes(values(x.data) * values(y.data))
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
@@ -297,8 +311,10 @@ def test_hermitian_engine_accumulates_pairs(rng):
         for _ in range(4)
     ]
     pairs = [(fields[0].data, fields[1].data), (fields[2].data, fields[3].data)]
-    got = convolve_pairs(pairs, grid.P, 2 * grid.P)
-    want = _convolve_complex(pairs, grid.P, 2 * grid.P)
+    # modes of a sum of products: _collide's W0 and W1 rely on it
+    values, modes = _convolution_transforms([f.data for f in fields], grid.P, 2 * grid.P)
+    got = modes(sum(values(x) * values(y) for x, y in pairs))
+    want = _padded_convolution(pairs, grid.P, 2 * grid.P)
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
@@ -322,7 +338,7 @@ def test_engine_at_three_halves_matches_brute_force(rng, real):
     for x, y in cases:
         assert _is_real(x) == _is_real(y) == real  # the operands pick the engine
         want = _brute_convolution(x, y, 6)
-        got = convolve_pairs([(x, y)], 6, 9)
+        got = truncated_convolution(SpectralField(x, grid), SpectralField(y, grid)).data
         assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
 
@@ -333,9 +349,12 @@ def test_engine_one_short_of_three_halves_aliases(rng):
     x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     want = _brute_convolution(x, y, 6)
-    got = convolve_pairs([(x, y)], 6, 8)
-    assert np.max(np.abs(got - want)) > 1e-6 * np.max(np.abs(want))
-    assert np.max(np.abs(convolve_pairs([(x, y)], 6, 9) - want)) < 1e-13 * np.max(np.abs(want))
+    got = {}
+    for Q in (8, 9):
+        values, modes = _convolution_transforms([x, y], 6, Q)
+        got[Q] = modes(values(x) * values(y))
+    assert np.max(np.abs(got[8] - want)) > 1e-6 * np.max(np.abs(want))
+    assert np.max(np.abs(got[9] - want)) < 1e-13 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------
@@ -394,14 +413,15 @@ def test_pruned_forward_matches_full_dft(rng, P, n):
 
 @pytest.mark.parametrize("P", [10, 16, 22])
 def test_hermitian_engine_unprojected_output_matches_complex(rng, P):
-    # convolve_pairs returns unprojected modes: the k_i = -N planes of the
-    # real path must match the complex engine too (odd Q = 15 at P = 10)
+    # the engine returns unprojected modes: the k_i = -N planes of the
+    # real path must match the complex reference too (odd Q = 15 at P = 10)
     grid = _grid(P=P)
     Q = padded_size(grid)
     x, y = (to_spectral(PhysicalField(rng.standard_normal((P,) * 3), grid)).data
             for _ in range(2))
-    want = _convolve_complex([(x, y)], P, Q)
-    got = convolve_pairs([(x, y)], P, Q)
+    want = _padded_convolution([(x, y)], P, Q)
+    values, modes = _convolution_transforms([x, y], P, Q)
+    got = modes(values(x) * values(y))
     N = P // 2
     assert np.max(np.abs(want[N])) > 1e-3 * np.max(np.abs(want))  # Nyquist plane is live
     assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
