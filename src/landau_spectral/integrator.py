@@ -46,6 +46,8 @@ class TimeConfig:
             raise ValueError(f"t_end must be finite and nonnegative, got {self.t_end}")
         if self.sample_every < 1:
             raise ValueError(f"sample_every must be >= 1, got {self.sample_every}")
+        if not np.isfinite(self.t_end / self.dt):
+            raise ValueError(f"t_end / dt must be finite, got {self.t_end} / {self.dt}")
         n = round(self.t_end / self.dt)
         if abs(n * self.dt - self.t_end) > 1e-9 * max(self.t_end, self.dt):
             raise ValueError(

@@ -238,19 +238,20 @@ def _profiles_from_integrals(ll, F1, F2, gamma: float, L: float):
             np.pi * c * (F2 - F1) / ll ** ((gamma + 7.0) / 2.0))
 
 
-def _cumulative_integrals(x, gamma: float, tol: float):
+def _cumulative_integrals(x, gamma: float):
     """(F1, F2) at ascending radii x: each panel [x_(i-1), x_i] once, summed."""
     p = gamma + 4.0
     f1 = lambda u: u**p * _i1(u)
     f2 = lambda u: u**p * (_i1(u) + 2.0 * _i2(u))
     edges = np.concatenate(([0.0], x))
-    panels = np.array([[_quad_or_raise(f, b, tol, 200, lo=a) for f in (f1, f2)]
+    # tolerances 1e-6 to 1e-12 agree to 1e-13 at P = 32; 1e-13 fails at gamma = 0.5
+    panels = np.array([[_quad_or_raise(f, b, 1e-10, 200, lo=a) for f in (f1, f2)]
                        for a, b in zip(edges[:-1], edges[1:])]).reshape(-1, 2)
     F = np.cumsum(panels, axis=0)
     return 2.0 * F[:, 0], F[:, 1]
 
 
-def radial_profiles(ll, gamma: float, L: float, tol: float = 1e-10):
+def radial_profiles(ll, gamma: float, L: float):
     """Radial profiles (A, B, Cs) of the tables at distinct squared radii.
 
     ``ll`` holds distinct integers |l|^2 >= 0 in ascending order (as
@@ -258,7 +259,7 @@ def radial_profiles(ll, gamma: float, L: float, tol: float = 1e-10):
     C_ij = Cs l_i l_j.  The zero mode gets A = Cs = 0 and B = B(0).
     Coulomb uses the closed form, gamma = 0 the elementary
     antiderivatives, and any other gamma the cumulative quadrature with
-    tolerance ``tol`` and subdivision cap 200 per panel.  Every
+    tolerance 1e-10 and subdivision cap 200 per panel.  Every
     nonzero mode has x = pi |l| >= pi, so no small-x branch is needed.
     """
     ll = np.asarray(ll, dtype=np.int64)
@@ -277,7 +278,7 @@ def radial_profiles(ll, gamma: float, L: float, tol: float = 1e-10):
             F1 = 8.0 * (3.0 * s - 3.0 * x * c - x * x * s)
             F2 = 4.0 * (-x**3 * c + 4.0 * x * x * s + 9.0 * x * c - 9.0 * s)
         else:
-            F1, F2 = _cumulative_integrals(x, gamma, tol)
+            F1, F2 = _cumulative_integrals(x, gamma)
         profiles = _profiles_from_integrals(q, F1, F2, gamma, L)
         B0 = _b_zero_mode(gamma, L)
     out = np.zeros((3, ll.size))
@@ -286,20 +287,19 @@ def radial_profiles(ll, gamma: float, L: float, tol: float = 1e-10):
     return out
 
 
-def build_kernel_tables(grid: GridSpec, tol: float = 1e-10) -> KernelTables:
+def build_kernel_tables(grid: GridSpec) -> KernelTables:
     """Tabulate the profiles A, B, Cs over the grid's mode set.
 
     The radial profiles are evaluated once per distinct |l|^2 (1057 values
     at P = 48, against 110592 modes) by ``radial_profiles`` and scattered back
-    onto the grid; ``tol`` reaches only the cumulative
-    quadrature used when gamma is neither -3 nor 0.  The collision forms
-    each C_ij = Cs l_i l_j from Cs where it needs it.
+    onto the grid.  The collision forms each C_ij = Cs l_i l_j from Cs where
+    it needs it.
     """
     k = _mode_ints(grid.P)
     ll = k[:, None, None] ** 2 + k[None, :, None] ** 2 + k[None, None, :] ** 2
     uniq, inv = np.unique(ll, return_inverse=True)
     A, B, Cs = (p[inv].reshape(ll.shape)
-                for p in radial_profiles(uniq, grid.gamma, grid.L, tol))
+                for p in radial_profiles(uniq, grid.gamma, grid.L))
     return KernelTables(gamma=grid.gamma, L=grid.L, P=grid.P, A=A, B=B, Cs=Cs)
 
 

@@ -1,6 +1,9 @@
 """Config parsing, kernel self-checks, CLI exit codes, end-to-end runs."""
 
 import csv
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,11 +62,13 @@ def test_config_parse_error_positions():
         RunConfig.parse("dt = 0.05\nt_end = 1\ndt = 0.01\n")
     with pytest.raises(ConfigError, match="line 1: key 'R' expects a number"):
         RunConfig.parse("R = abc\n")
-    with pytest.raises(ConfigError, match="line 1: key 'oversample' expects an integer"):
-        RunConfig.parse("oversample = 2.5\n")
-    # the convolutions always follow the 3/2 rule and every process builds
-    # its own kernel tables: neither option exists, so old configs fail here
-    for key, val in (("padding", "exact"), ("kernel_cache", "tables")):
+    with pytest.raises(ConfigError, match="line 1: key 'snapshot_every' expects an integer"):
+        RunConfig.parse("snapshot_every = 2.5\n")
+    # the convolutions always follow the 3/2 rule, every process builds its
+    # own kernel tables, and the collocation refinement and the quadrature
+    # tolerance are constants: no such option exists, so old configs fail here
+    for key, val in (("padding", "exact"), ("kernel_cache", "tables"),
+                     ("oversample", "2"), ("quad_tol", "1e-10")):
         with pytest.raises(ConfigError, match=f"line 1: unknown key '{key}'"):
             RunConfig.parse(f"{key}={val}\n")
 
@@ -82,6 +87,15 @@ def test_config_validation():
         RunConfig(dt=0.3, t_end=1.0).time_config()
     # file: prefix is accepted at construction; the path is resolved later
     RunConfig(init="file:whatever.lsfd")
+
+
+def test_readme_config_table_lists_every_key():
+    # the keys in the first column of README's "Config file" table
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = text.split("### Config file", 1)[1].split("\n\n|", 1)[1].split("\n\n", 1)[0]
+    rows = table.splitlines()[2:]  # after the header and the |---| line
+    keys = [k for row in rows for k in re.findall(r"`([^`]+)`", row.split("|")[1])]
+    assert sorted(keys) == sorted(f.name for f in fields(RunConfig))
 
 
 @pytest.mark.parametrize("key,val", [("t_end", "inf"), ("dt", "nan"), ("dt", "inf"),
@@ -264,23 +278,38 @@ def test_restart_refuses_snapshot_of_another_gamma(tmp_path, capsys):
 
 def test_commands_build_tables_through_the_benchmark_probe(tmp_path, monkeypatch, capsys):
     # perfbench/launch.py times kernel.build_s by wrapping this module-level
-    # name; a command that bypassed it would leave the span reading 0.  Every
-    # build gets the config's quad_tol.
+    # name; a command that bypassed it would leave the span reading 0
     from landau_spectral import cli
 
     calls = []
 
-    def counting(grid, tol):
-        calls.append((grid.P, tol))
-        return cli.build_kernel_tables(grid, tol=tol)
+    def counting(grid):
+        calls.append(grid.P)
+        return cli.build_kernel_tables(grid)
 
     monkeypatch.setattr(cli, "build_or_load_tables", counting)
-    cfg = _write_cfg(tmp_path, t_end=1e-3, quad_tol=1e-8)
+    cfg = _write_cfg(tmp_path, t_end=1e-3)
     assert main(["run", str(cfg)]) == 0
-    assert calls == [(8, 1e-8)]
+    assert calls == [8]
     assert main(["convergence", str(cfg), "--grids", "8,16"]) == 0
-    assert calls == [(8, 1e-8), (8, 1e-8), (16, 1e-8)]
+    assert calls == [8, 8, 16]
     capsys.readouterr()
+
+
+def _count_table_builds(monkeypatch):
+    from landau_spectral import cli
+
+    builds = []
+    monkeypatch.setattr(cli, "build_or_load_tables", lambda grid: builds.append(grid))
+    return builds
+
+
+def test_missing_snapshot_fails_before_tables_are_built(tmp_path, monkeypatch, capsys):
+    builds = _count_table_builds(monkeypatch)
+    cfg = _write_cfg(tmp_path, gamma=-1.0, init=f"file:{tmp_path / 'missing.lsfd'}")
+    assert main(["run", str(cfg)]) == 3
+    assert "missing.lsfd" in capsys.readouterr().err
+    assert builds == []
 
 
 def test_run_exit_codes(tmp_path, capsys):
@@ -296,6 +325,12 @@ def test_run_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("P=eight\n")
     assert main(["run", str(bad)]) == 1
+    # t_end / dt overflows a float: a validation error, not an OverflowError
+    steps = _write_cfg(tmp_path, name="steps.cfg", dt=1e-300, t_end=1e10)
+    capsys.readouterr()
+    assert main(["run", str(steps)]) == 1
+    err = capsys.readouterr().err
+    assert "t_end / dt must be finite" in err and "Traceback" not in err
     # an initial state with no matching Maxwellian -> numerical error
     # (the default shell datum is unresolvable at P=8 on the small box)
     degen = _write_cfg(tmp_path, name="degen.cfg", L=1.8, gamma=-3.0,
@@ -326,7 +361,8 @@ def test_convergence_command(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_convergence_rejects_bad_setups(tmp_path, capsys):
+def test_convergence_rejects_bad_setups(tmp_path, monkeypatch, capsys):
+    builds = _count_table_builds(monkeypatch)
     cfg = _write_cfg(tmp_path, t_end=2e-3)
     for grids, msg in (("7,8", "even and >= 4, got 7"), (",", "lists no grid size"),
                        ("8,8", "P = 8 more than once"),
@@ -340,6 +376,10 @@ def test_convergence_rejects_bad_setups(tmp_path, capsys):
     snap = _write_cfg(tmp_path, name="snap.cfg", snapshot_every=1)
     assert main(["convergence", str(snap), "--grids", "8"]) == 1
     assert "snapshot_every" in capsys.readouterr().err
+    steps = _write_cfg(tmp_path, name="steps.cfg", dt=0.003, t_end=0.01)
+    assert main(["convergence", str(steps), "--grids", "16"]) == 1
+    assert "not an integer multiple of dt" in capsys.readouterr().err
+    assert builds == []
 
 
 def test_kernel_check_command(capsys, monkeypatch):

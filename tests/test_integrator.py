@@ -47,7 +47,7 @@ def test_time_config_validation():
 
 
 @pytest.mark.parametrize("dt,t_end", [(0.05, np.inf), (np.nan, 1.0), (np.inf, 1.0),
-                                      (0.05, np.nan)])
+                                      (0.05, np.nan), (1e-300, 1e10)])
 def test_time_config_rejects_non_finite_values(dt, t_end):
     # ValueError, not the OverflowError or NaN conversion error of round()
     with pytest.raises(ValueError, match="must be finite"):
@@ -208,7 +208,7 @@ def test_run_fills_error_columns_with_exact(tables_for):
 def test_run_rejects_foreign_grid(tables_for):
     grid = _bkw_grid(P=8)
     tables = tables_for(grid)
-    other = _bkw_grid(P=8, oversample=3)
+    other = _bkw_grid(P=8, R=4.0)
     f0 = initial_state(_f0(), other)
     with pytest.raises(ValueError):
         run(f0, grid, tables, TimeConfig(dt=1e-3, t_end=1e-3))

@@ -437,7 +437,7 @@ def test_padded_transforms_are_pure_across_grids_and_workers(rng):
 
     sizes = {P: sorted({P, 2 * P, 3 * P, padded_size(_grid(P=P))}) for P in (10, 16)}
     cases = [(P, sizes[P][i]) for i in range(4) for P in (10, 16)]
-    grids = {P: _grid(P=P, L=1.8, oversample=3) for P in (10, 16)}
+    grids = {P: _grid(P=P, L=1.8) for P in (10, 16)}
     tables = {P: build_kernel_tables(g) for P, g in grids.items()}
     src = {P: _hermitian_modes(rng, P) for P in grids}
     state = {P: to_spectral(PhysicalField(rng.standard_normal((P,) * 3) + 2.0, g))
@@ -498,8 +498,8 @@ def test_grid_spec_validation():
         GridSpec(L=1.0, P=8, gamma=2.0)
     with pytest.raises(ValueError):
         GridSpec(L=1.0, P=8, R=1.5)
-    with pytest.raises(ValueError):
-        GridSpec(L=1.0, P=8, oversample=0)
+    with pytest.raises(TypeError):  # the collocation refinement is a constant
+        GridSpec(L=1.0, P=8, oversample=3)
     with pytest.raises(ValueError):
         GridSpec(L=1.0, P=8, cutoff_shape="boxcar")
     g = GridSpec(L=2.0, P=8)
