@@ -37,7 +37,10 @@ from .spectral import (
     ShapeMismatchError,
     SnapshotFormatError,
     SpectralField,
+    _even_octant,
     _mode_ints,
+    _octant_to_full,
+    padded_size,
     read_snapshot,
     to_physical,
     to_spectral,
@@ -182,9 +185,9 @@ def _build_initial(cfg: RunConfig, grid: GridSpec):
 def cmd_run(cfg: RunConfig) -> int:
     grid = cfg.grid()
     tconf = cfg.time_config()
+    fhat0, exact = _build_initial(cfg, grid)
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    fhat0, exact = _build_initial(cfg, grid)
     tables = build_or_load_tables(grid)
 
     (outdir / "config.txt").write_text(cfg.serialize())
@@ -203,9 +206,10 @@ def cmd_run(cfg: RunConfig) -> int:
     wall = _time.perf_counter() - t0
     diag.write_csv(outdir / "diagnostics.csv", records)
     # run samples the final step, so the last record holds the final min f
+    march = "half" if _even_octant(fhat0.data) is None else "octant"
     print(
         f"run complete: t = {tconf.t_end:g}, steps = {tconf.n_steps}, "
-        f"wall = {wall:.2f} s, min f = {records[-1].min_f:.3e}"
+        f"wall = {wall:.2f} s, min f = {records[-1].min_f:.3e}, march = {march}"
     )
     return 0
 
@@ -358,17 +362,19 @@ def kernel_check(points: int = 8, gamma: float = -3.0):
         results.append(("quadrature self-consistency (tol 1e-8 vs 1e-10)", qworst <= 1e-9,
                         f"max rel defect {qworst:.3e} (tol 1e-9)"))
 
-    # fast path vs direct double sum, on complex coefficients and on the
+    # fast path vs direct double sum, on complex coefficients, on the
     # projected real fields that q_scheme_rhs passes to the real transforms
+    # and on the axis-even real fields that run marches as octants
     beta_fn = beta_coulomb if gamma == -3.0 else beta_from_tables(tables)
-    for real in (False, True):
-        worst = max(_oracle_deviations(rng, grid, tables, beta_fn, real, 3))
-        results.append((("real-field " if real else "") + "FFT evaluation vs direct double sum",
+    for kind, label in (("complex", ""), ("real", "real-field "),
+                        ("even", "axis-even real field ")):
+        worst = max(_oracle_deviations(rng, grid, tables, beta_fn, kind, 3))
+        results.append((label + "FFT evaluation vs direct double sum",
                         worst <= 1e-12, f"max rel defect {worst:.3e} (tol 1e-12)"))
 
     # negative control: q_periodic_fast's rank form at Q = 3N - 1, where the
     # image of l + m = -2N lands on N - 1
-    g, h = _random_field(rng, grid, False), _random_field(rng, grid, False)
+    g, h = _random_field(rng, grid, "complex"), _random_field(rng, grid, "complex")
     short = _collide(g.data, h.data, tables, 3 * grid.N - 1)
     dev = _rel_dev(short, q_periodic_direct(g, h, beta_fn).data)
     results.append(("aliasing seen at Q = 3N - 1", dev > 1e-6,
@@ -376,18 +382,26 @@ def kernel_check(points: int = 8, gamma: float = -3.0):
     return results
 
 
-def _oracle_deviations(rng, grid: GridSpec, tables, beta_fn, real: bool, trials: int):
-    """Relative deviations of ``q_periodic_fast`` from the direct double sum
-    on ``trials`` random pairs of real fields or of complex coefficients."""
+def _oracle_deviations(rng, grid: GridSpec, tables, beta_fn, kind: str, trials: int):
+    """Relative deviations of ``q_periodic_fast`` (of the octant collision on
+    "even" fields) from the direct double sum on ``trials`` random pairs."""
     for _ in range(trials):
-        g, h = _random_field(rng, grid, real), _random_field(rng, grid, real)
-        yield _rel_dev(q_periodic_fast(g, h, tables).data, q_periodic_direct(g, h, beta_fn).data)
+        g, h = _random_field(rng, grid, kind), _random_field(rng, grid, kind)
+        direct = q_periodic_direct(g, h, beta_fn).data
+        if kind != "even":
+            yield _rel_dev(q_periodic_fast(g, h, tables).data, direct)
+        else:  # compared on the octant
+            fast = _collide(_even_octant(g.data), _even_octant(h.data), tables, padded_size(grid))
+            yield _rel_dev(fast, direct[: grid.N, : grid.N, : grid.N])
 
 
-def _random_field(rng, grid: GridSpec, real: bool) -> SpectralField:
-    """Projected coefficients of a random real field, or random complex ones."""
+def _random_field(rng, grid: GridSpec, kind: str) -> SpectralField:
+    """Random "complex" coefficients, or those of a random "real" or
+    axis-"even" real field."""
+    if kind == "even":
+        return SpectralField(_octant_to_full(rng.standard_normal((grid.N,) * 3)), grid)
     vals = rng.standard_normal((grid.P,) * 3)
-    if real:
+    if kind == "real":
         return to_spectral(PhysicalField(vals, grid))
     return SpectralField(vals + 1j * rng.standard_normal(vals.shape), grid)
 
@@ -413,10 +427,10 @@ def cmd_oracle_compare(cfg: RunConfig) -> int:
     beta_fn = beta_coulomb if grid.gamma == -3.0 else beta_from_tables(tables)
     rng = np.random.default_rng(745737)
     worst = 0.0
-    for real in (False, True):
-        for trial, dev in enumerate(_oracle_deviations(rng, grid, tables, beta_fn, real, 5)):
+    for kind in ("complex", "real", "even"):
+        for trial, dev in enumerate(_oracle_deviations(rng, grid, tables, beta_fn, kind, 5)):
             worst = max(worst, dev)
-            print(f"{'real' if real else 'complex'} pair {trial}: max rel deviation {dev:.3e}")
+            print(f"{kind} pair {trial}: max rel deviation {dev:.3e}")
     print(f"worst deviation {worst:.3e} (tol 1e-12)")
     return 0 if worst <= 1e-12 else 2
 

@@ -13,9 +13,9 @@ second factors of h, each transformed once, give 7 zero-padded inverse and
 transforms (``spectral._convolution_transforms``): for real states the
 k3 >= 0 half spectra are zero-padded to Q >= 3N points per axis in pruned
 one-axis passes that skip the all-zero columns, and the scheme right-hand
-side carries the state as that half through all three stages.
-The direct double-sum evaluator is retained as an O(P^6) oracle for
-small P.
+side carries the state as that half through all three stages, or, for a
+state even in each velocity axis, as its real (N, N, N) octant.  The direct
+double-sum evaluator is retained as an O(P^6) oracle for small P.
 """
 
 from __future__ import annotations
@@ -47,17 +47,17 @@ class CostGuardError(RuntimeError):
 
 
 @lru_cache(maxsize=32)
-def _k2(P: int, K: int) -> np.ndarray:
-    """|k|^2 over the modes of a (P, P, K) array (K = P, or N for a k3 >= 0
-    half), FFT order.  Shared: never write to it."""
+def _k2(P: int, shape: tuple) -> np.ndarray:
+    """|k|^2 over the modes of an array of that shape, which starts each
+    FFT-order axis (a whole, a half, an octant).  Shared: never write to it."""
     k = _mode_ints(P).astype(np.float64) ** 2
-    return k[:, None, None] + k[None, :, None] + k[None, None, :K]
+    return k[: shape[0], None, None] + k[None, : shape[1], None] + k[None, None, : shape[2]]
 
 
-def _check_compatible(ghat: SpectralField, hhat: SpectralField, tables: KernelTables):
-    if ghat.grid != hhat.grid:
+def _check_compatible(grid_g, grid_h, tables: KernelTables):
+    if grid_g != grid_h:
         raise ShapeMismatchError("operands live on different grids")
-    g = ghat.grid
+    g = grid_g
     if tables.P != g.P or tables.gamma != g.gamma or tables.L != g.L:
         raise ShapeMismatchError(
             f"kernel tables built for (gamma={tables.gamma}, L={tables.L}, P={tables.P}) "
@@ -77,15 +77,17 @@ def _collide(g: np.ndarray, h: np.ndarray, tables: KernelTables, Q: int) -> np.n
 
     give (2L)^3 Qhat = W0 + |k|^2 W1 + |k|^4 W2.  Each factor is transformed
     once and each sum forward-transformed as soon as it is complete, so at
-    most five padded arrays are live.  g and h are (P, P, P) arrays or
-    (P, P, N) k3 >= 0 halves; the tables and |k|^2 are read on the same
-    columns.  The factors of real fields are real fields, so g and h alone
-    pick the transforms.  Q >= 3N gives the literal double sum to rounding,
-    less close than separate convolutions since the |k|^4 terms cancel.
+    most five padded arrays are live.  g and h are (P, P, P) arrays,
+    (P, P, N) k3 >= 0 halves or real (N, N, N) octants of axis-even fields;
+    the tables and |k|^2, real and even in each k_i, are read on the same
+    block, so g and h alone pick the transforms.  Q >= 3N gives the literal
+    double sum to rounding, less close than separate convolutions since the
+    |k|^4 terms cancel.
     """
-    P, _, K = g.shape
-    A, B, Cs = tables.A[:, :, :K], tables.B[:, :, :K], tables.Cs[:, :, :K]
-    k2 = _k2(P, K)
+    P = tables.P
+    block = tuple(slice(n) for n in g.shape)
+    A, B, Cs = tables.A[block], tables.B[block], tables.Cs[block]
+    k2 = _k2(P, g.shape)
     values, modes = _convolution_transforms([g, h], P, Q)
     a3 = (0.25 * Cs) * g
     H = values(h)
@@ -122,7 +124,7 @@ def q_periodic_fast(
     transforms run real passes on their k3 >= 0 halves.  Padded by the 3/2
     rule, this is the literal double sum to rounding (``_collide``).
     """
-    _check_compatible(ghat, hhat, tables)
+    _check_compatible(ghat.grid, hhat.grid, tables)
     grid = ghat.grid
     return SpectralField(_collide(ghat.data, hhat.data, tables, padded_size(grid)), grid)
 
@@ -196,7 +198,7 @@ def q_periodic_direct(
     return SpectralField(out, grid)
 
 
-def q_scheme_rhs(fhat: SpectralField, grid, tables: KernelTables) -> SpectralField:
+def q_scheme_rhs(fhat, grid, tables: KernelTables):
     """Right-hand side of the truncated evolution: cutoff, collide, cutoff.
 
     Computes P_N( P_N(Qhat(F, F)) psi_R ) with F = P_N(f psi_R), i.e. the
@@ -213,10 +215,16 @@ def q_scheme_rhs(fhat: SpectralField, grid, tables: KernelTables) -> SpectralFie
     ``project(apply_cutoff(project(q_periodic_fast(F, F, tables))))`` with
     ``F = project(apply_cutoff(fhat))`` bit for bit: F is real, so both
     take the same real transforms.
+
+    ``fhat`` may instead be the real (N, N, N) octant of an axis-even state,
+    as ``run`` marches it: every stage and the result are octants then.
     """
-    if fhat.grid != grid:
+    octant = isinstance(fhat, np.ndarray)
+    if (fhat.shape != (grid.N,) * 3) if octant else (fhat.grid != grid):
         raise ShapeMismatchError("state grid differs from the requested grid")
-    _check_compatible(fhat, fhat, tables)
-    F = _cutoff_half(fhat.data, grid)
+    _check_compatible(grid, grid, tables)
+    F = _cutoff_half(fhat if octant else fhat.data, grid)
     U = _collide(F, F, tables, padded_size(grid))
+    if octant:
+        return _cutoff_half(U, grid)
     return SpectralField(_assemble(_cutoff_half(_project_half(U), grid)), grid)

@@ -269,6 +269,40 @@ def _assemble(half: np.ndarray) -> np.ndarray:
     return out
 
 
+def _octant_to_values(x: np.ndarray, n: int) -> np.ndarray:
+    """Samples j = 0..n//2 (the rest mirror them) of the n-point inverse DFT
+    of an axis-even real field's real octant k_i = 0..N-1: a DCT-I per axis
+    (Swarztrauber, Symmetric FFTs, 1986), axis 0 last for a contiguous result."""
+    m = n // 2 + 1
+    x = np.fft.irfft(x, n, axis=2)[:, :, :m]
+    x = np.fft.irfft(x, n, axis=1)[:, :m]
+    return np.fft.irfft(x, n, axis=0)[:m]
+
+
+def _values_to_octant(vals: np.ndarray, n: int, N: int) -> np.ndarray:
+    """The mirror image of ``_octant_to_values``: the DFT at k_i = 0..N-1 of
+    the even n-point extension of samples j = 0..n//2 per axis."""
+    vals = np.fft.hfft(vals, n, axis=2)[:, :, :N]
+    vals = np.fft.hfft(vals, n, axis=1)[:, :N]
+    return np.fft.hfft(vals, n, axis=0)[:N]
+
+
+def _octant_to_full(octant: np.ndarray) -> np.ndarray:
+    """The (P, P, P) coefficients of the axis-even real field of an octant."""
+    idx = np.abs(_mode_ints(2 * octant.shape[0]))  # k = -N reads the zero pad
+    return np.pad(octant, (0, 1))[np.ix_(idx, idx, idx)].astype(np.complex128)
+
+
+def _even_octant(data: np.ndarray) -> np.ndarray | None:
+    """The real octant of (P, P, P) coefficients if it rebuilds them within
+    1e-12 of their largest (``_check_hermitian``'s scale): the field is even
+    in each axis, real and free of Nyquist planes.  Otherwise None."""
+    N = data.shape[0] // 2
+    octant = data[:N, :N, :N].real.copy()
+    near = np.max(np.abs(data - _octant_to_full(octant))) <= 1e-12 * np.max(np.abs(data))
+    return octant if near else None
+
+
 def _half_to_values(src: np.ndarray, grid: GridSpec, n: int) -> np.ndarray:
     """Point values on the n^3 grid of a real field from its k3 >= 0 half
     ``src[:, :, :N]`` (``src`` is the whole array or just that half)."""
@@ -421,11 +455,19 @@ def apply_cutoff(fhat: SpectralField) -> SpectralField:
 def _cutoff_half(src: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Projected k3 >= 0 half of P_N(u psi_R), read from the k3 >= 0 half
     ``src[:, :, :N]`` of a real field u; ``src`` is left as it is.  With
-    cutoff_shape == "none" this is a projected copy of that half."""
-    half = src[:, :, : grid.N]
+    cutoff_shape == "none" this is a projected copy of that half.  For the
+    real octant of an axis-even u the result is an octant too: psi_R is
+    radial and v_{n-j} = -v_j, so the samples j = 0..n/2 suffice."""
+    N, n = grid.N, grid.oversample * grid.P
+    octant = src.shape[0] == N
+    half = src if octant else src[:, :, :N]
     if grid.cutoff_shape == "none":
-        return _project_half(half.copy())
-    n = grid.oversample * grid.P
+        return half.copy() if octant else _project_half(half.copy())
+    if octant:  # the values' scale n^3 (2L)^-3 cancels the rectangle rule's (2L/n)^3
+        m, phase = n // 2 + 1, _phase3(grid.P)[:N, :N]
+        vals = _octant_to_values(src * phase, n)
+        vals *= _psi_grid_values(grid, n)[:m, :m, :m]
+        return _values_to_octant(vals, n, N) * phase
     vals = _half_to_values(half, grid, n)
     vals *= _psi_grid_values(grid, n)
     return _values_to_half(vals, grid)
@@ -464,13 +506,18 @@ def _convolution_transforms(operands, P: int, Q: int):
     coefficients on J_N of a sum v of products of such values (v may be
     overwritten), so that ``modes(values(x) * values(y))`` is conv(x, y).
     Q >= 3N gives the literal truncated sums; Q < 3N aliases
-    (``padded_size``).  (P, P, N) operands are k3 >= 0 halves of real
-    fields; (P, P, P) operands that all pass ``_is_real`` are read on those
-    halves too, in pruned one-axis real passes (``_modes_to_values``).  Any
-    others take n-D complex transforms of the zero-padded Q^3 cube.
+    (``padded_size``).  Real (N, N, N) octants of axis-even fields take the
+    DCT-I pair (``_octant_to_values``).  (P, P, N) operands are k3 >= 0
+    halves of real fields; (P, P, P) operands that all pass ``_is_real`` are
+    read on those halves too, in pruned one-axis real passes
+    (``_modes_to_values``).  Any others take n-D complex transforms of the
+    zero-padded Q^3 cube.
     """
     whole = operands[0].shape[2] == P
-    if not whole or all(_is_real(a) for a in operands):
+    if operands[0].shape[0] == P // 2:
+        values = lambda x: _octant_to_values(x, Q)
+        forward = lambda v: _values_to_octant(v, Q, P // 2)
+    elif not whole or all(_is_real(a) for a in operands):
 
         def values(x):
             return _modes_to_values(x, Q)

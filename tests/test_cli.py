@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 
 from landau_spectral.cli import ConfigError, RunConfig, kernel_check, main
-from landau_spectral.spectral import _LSFD_HEADER
+from landau_spectral.spectral import (
+    _LSFD_HEADER,
+    PhysicalField,
+    velocity_axis,
+    write_snapshot,
+)
 
 
 def _write_cfg(tmp_path, name="run.cfg", **over):
@@ -263,6 +268,25 @@ def test_run_writes_and_restarts_from_snapshots(tmp_path):
     assert main(["run", str(cfg3)]) == 1
 
 
+def test_run_summary_names_the_march(tmp_path, capsys):
+    # the radial shell datum marches on the octant; a restart from a field
+    # with no axis symmetry on the (P, P, P) coefficients
+    shell = _write_cfg(tmp_path, name="shell.cfg", L=1.8, P=16, gamma=-3.0, init="shell",
+                       cutoff_shape="paper", dt=0.05, t_end=0.05)
+    assert main(["run", str(shell)]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("march = octant")
+    grid = RunConfig.parse(_write_cfg(tmp_path).read_text()).grid()
+    v = velocity_axis(grid)
+    r2 = v[:, None, None] ** 2 + v[None, :, None] ** 2 + v[None, None, :] ** 2
+    rng = np.random.default_rng(7)
+    vals = np.exp(-r2 / 8.0) * (1.0 + 0.01 * rng.random(r2.shape))
+    write_snapshot(tmp_path / "odd.lsfd", PhysicalField(vals, grid), 0.0)
+    odd = _write_cfg(tmp_path, name="odd.cfg", init=f"file:{tmp_path / 'odd.lsfd'}",
+                     t_end=1e-3)
+    assert main(["run", str(odd)]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("march = half")
+
+
 def test_restart_refuses_snapshot_of_another_gamma(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, snapshot_every=2)  # gamma = 0
     assert main(["run", str(cfg)]) == 0
@@ -310,6 +334,7 @@ def test_missing_snapshot_fails_before_tables_are_built(tmp_path, monkeypatch, c
     assert main(["run", str(cfg)]) == 3
     assert "missing.lsfd" in capsys.readouterr().err
     assert builds == []
+    assert not (tmp_path / "out").exists()  # no output directory is left behind
 
 
 def test_run_exit_codes(tmp_path, capsys):

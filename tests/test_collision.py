@@ -75,22 +75,33 @@ def _sum_of_term_pairs(gdata, hdata, tables, Q):
 
 def _count_padded_transforms(monkeypatch, Q):
     """Record the operands of the real inverse passes and the number of
-    forward passes that run at Q points per axis."""
+    forward passes that run at Q points per axis, on halves and octants."""
     inverse, forward = [], [0]
-    to_values, to_rows = spectral._modes_to_values, spectral._values_to_rows
 
-    def counted_values(src, n):
-        if n == Q:
-            inverse.append(src)
-        return to_values(src, n)
+    def count_inverse(fn):
+        def counted(src, n):
+            if n == Q:
+                inverse.append(src)
+            return fn(src, n)
+        return counted
 
-    def counted_rows(vals, P):
-        forward[0] += vals.shape[0] == Q
-        return to_rows(vals, P)
+    def count_forward(fn, size):
+        def counted(vals, *args):
+            forward[0] += vals.shape[0] == size
+            return fn(vals, *args)
+        return counted
 
-    monkeypatch.setattr(spectral, "_modes_to_values", counted_values)
-    monkeypatch.setattr(spectral, "_values_to_rows", counted_rows)
+    for name in ("_modes_to_values", "_octant_to_values"):
+        monkeypatch.setattr(spectral, name, count_inverse(getattr(spectral, name)))
+    for name, size in (("_values_to_rows", Q), ("_values_to_octant", Q // 2 + 1)):
+        monkeypatch.setattr(spectral, name, count_forward(getattr(spectral, name), size))
     return inverse, forward
+
+
+def _even(grid, rng, scale=1.0):
+    """A random axis-even real field and its real (N, N, N) octant."""
+    octant = scale * rng.standard_normal((grid.N,) * 3)
+    return SpectralField(spectral._octant_to_full(octant), grid), octant
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +186,42 @@ def test_real_transform_path_matches_direct(P, tables_for, rng, monkeypatch):
     direct = q_periodic_direct(g, h)
     scale = np.max(np.abs(direct.data))
     assert np.max(np.abs(fast.data - direct.data)) < 1e-12 * scale
+
+
+@pytest.mark.parametrize("P", [8, 16])
+def test_octant_collision_matches_direct(P, tables_for, rng, monkeypatch):
+    # the path run marches axis-even states on: real octants, octant pair
+    grid = _grid(P=P, L=1.7)
+    N = grid.N
+    tables = tables_for(grid)
+    (g, go), (h, ho) = _even(grid, rng), _even(grid, rng)
+    factors, forward = _count_padded_transforms(monkeypatch, padded_size(grid))
+    fast = _collide(go, ho, tables, padded_size(grid))
+    assert (len(factors), forward[0]) == (7, 3)
+    assert all(a.shape == (N,) * 3 and a.dtype == np.float64 for a in factors)
+    direct = q_periodic_direct(g, h).data
+    assert np.max(np.abs(direct.imag)) < 1e-15 * np.max(np.abs(direct))
+    direct = direct[:N, :N, :N]
+    assert np.max(np.abs(fast - direct)) < 1e-12 * np.max(np.abs(direct))
+
+
+@pytest.mark.parametrize("shape", ["paper", "smooth", "none"])
+@pytest.mark.parametrize("P", [8, 16])
+def test_octant_scheme_rhs_is_the_octant_of_the_half_rhs(P, shape, tables_for, rng):
+    # the right-hand side keeps an axis-even state axis-even, and its octant
+    # form agrees with the half form to rounding, Nyquist planes included
+    grid = _grid(P=P, L=1.8, cutoff_shape=shape)
+    tables = tables_for(grid)
+    f, octant = _even(grid, rng, scale=0.1)
+    kept = octant.copy()
+    want = q_scheme_rhs(f, grid, tables).data
+    got = q_scheme_rhs(octant, grid, tables)
+    assert np.array_equal(octant, kept)
+    assert got.shape == (grid.N,) * 3 and got.dtype == np.float64
+    dev = np.max(np.abs(spectral._octant_to_full(got) - want))
+    assert dev < 1e-13 * np.max(np.abs(want))
+    with pytest.raises(ShapeMismatchError):
+        q_scheme_rhs(octant[:, :, :-1], grid, tables)
 
 
 @pytest.mark.parametrize("P", [32, 48])
@@ -353,6 +400,12 @@ def test_scheme_rhs_collision_makes_seven_inverse_and_three_forward_transforms(
     monkeypatch.setattr(spectral, "_check_hermitian", lambda data: checks.append(check(data)))
     q_scheme_rhs(f, grid, tables)
     assert (len(inverse), forward[0], len(checks)) == (7, 3, 0)
+    # an axis-even state's real octant takes the octant pair, as often
+    inverse.clear()
+    forward[0] = 0
+    q_scheme_rhs(_even(grid, rng, scale=0.1)[1], grid, tables)
+    assert (len(inverse), forward[0], len(checks)) == (7, 3, 0)
+    assert all(a.shape == (grid.N,) * 3 for a in inverse)
 
 
 def test_scheme_rhs_traced_peak_stays_small(tables_for, rng):

@@ -5,7 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from landau_spectral.exact import BkwParams, bkw
+from landau_spectral import diagnostics as diag
+from landau_spectral.collision import q_scheme_rhs
+from landau_spectral.exact import BkwParams, ShellParams, bkw, coulomb_shell
 from landau_spectral.integrator import (
     BlowUpError,
     TimeConfig,
@@ -13,7 +15,7 @@ from landau_spectral.integrator import (
     rk4_step,
     run,
 )
-from landau_spectral.spectral import GridSpec, SpectralField
+from landau_spectral.spectral import GridSpec, SpectralField, _even_octant
 
 
 def _bkw_grid(P=8, cutoff_shape="none", **kw):
@@ -161,6 +163,78 @@ def test_run_emission_cadence(tables_for):
     assert [r.t for r in recs] == pytest.approx([0.0, 3e-3, 4e-3])
     assert samples == [0, 1, 2, 3, 4]
     assert isinstance(final, SpectralField)
+
+
+def _half_march(initial, grid, tables, time, exact=None):
+    """The march on (P, P, P) coefficients: the right-hand side read on the
+    k3 >= 0 half, every step sampled.  Returns the final state and rows."""
+    f, rows = initial, [diag.record_row(diag.sample_state(0.0, initial, exact))]
+    for step in range(1, time.n_steps + 1):
+        f = rk4_step(f, time.dt, lambda g: q_scheme_rhs(g, grid, tables))
+        rows.append(diag.record_row(diag.sample_state(step * time.dt, f, exact)))
+    return f, rows
+
+
+def _run_rows(initial, grid, tables, time, exact=None):
+    recs = []
+    final = run(initial, grid, tables, time, sinks=[recs.append], exact=exact)
+    return final, [diag.record_row(r) for r in recs]
+
+
+def test_run_marches_a_non_even_state_on_the_half(tables_for):
+    # a drift along v1 breaks the v1 -> -v1 symmetry, so run keeps the
+    # (P, P, P) march, bit for bit
+    grid = _bkw_grid(P=8)
+    tables = tables_for(grid)
+    f0 = initial_state(lambda V: bkw(0.0, V, BkwParams()) * (1.0 + 0.1 * V[..., 0]), grid)
+    assert _even_octant(f0.data) is None
+    tc = TimeConfig(dt=1e-3, t_end=3e-3)
+    final, rows = _run_rows(f0, grid, tables, tc)
+    want, want_rows = _half_march(f0, grid, tables, tc)
+    assert np.array_equal(final.data, want.data)
+    assert rows == want_rows
+
+
+# largest relative deviation per diagnostics.csv column of the octant march
+# from the half march; the momenta are measured against mass * L
+_OCTANT_TOLERANCE = {
+    "mass": 1e-14, "mom_x": 1e-13, "mom_y": 1e-13, "mom_z": 1e-13, "energy": 1e-13,
+    "m4": 1e-11, "entropy": 1e-12, "rel_entropy": 1e-11, "fisher": 1e-8,
+    "l2_to_maxwellian": 1e-12, "min_f": 1e-8, "negative_mass": 1e-8, "e1": 1e-9,
+    "e2": 1e-9,
+}
+
+
+@pytest.mark.parametrize("datum", ["shell", "bkw"])
+def test_run_marches_axis_even_data_on_the_octant(datum, tables_for):
+    if datum == "shell":
+        grid = GridSpec(L=1.8, P=16, gamma=-3.0)
+        f0 = initial_state(lambda V: coulomb_shell(V, ShellParams()), grid)
+        tc, exact = TimeConfig(dt=0.05, t_end=0.2), None
+    else:
+        grid = _bkw_grid(P=16)
+        f0 = initial_state(_f0(), grid)
+        tc, exact = TimeConfig(dt=1e-3, t_end=5e-3), lambda t, V: bkw(t, V, BkwParams())
+    tables = tables_for(grid)
+    final, rows = _run_rows(f0, grid, tables, tc, exact)
+    want, want_rows = _half_march(f0, grid, tables, tc, exact)
+    assert rows[0] == want_rows[0]  # step 0 samples the initial state itself
+    scale = np.max(np.abs(want.data))
+    assert np.max(np.abs(final.data - want.data)) < 1e-13 * scale
+    # the octant march keeps the state exactly axis-even
+    rev = -np.arange(grid.P) % grid.P
+    assert all(np.array_equal(final.data.take(rev, axis), final.data) for axis in range(3))
+    for i, col in enumerate(diag.CSV_COLUMNS):
+        if col == "t" or (exact is None and col in ("e1", "e2")):
+            assert [r[i] for r in rows] == [r[i] for r in want_rows]
+            continue
+        got = np.array([float(r[i]) for r in rows])
+        ref = np.array([float(r[i]) for r in want_rows])
+        if col.startswith("mom_"):
+            size = grid.L * np.array([float(r[1]) for r in want_rows])
+        else:
+            size = np.abs(ref)
+        assert np.all(np.abs(got - ref) <= _OCTANT_TOLERANCE[col] * size), col
 
 
 def test_run_zero_horizon_emits_single_record(tables_for):

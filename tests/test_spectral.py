@@ -27,10 +27,14 @@ from landau_spectral.spectral import (
 from landau_spectral.spectral import (
     _LSFD_HEADER,
     _convolution_transforms,
+    _even_octant,
     _is_real,
     _modes_to_values,
     _next_fast_len,
+    _octant_to_full,
+    _octant_to_values,
     _values_to_modes,
+    _values_to_octant,
 )
 
 
@@ -409,6 +413,43 @@ def test_pruned_forward_matches_full_dft(rng, P, n):
     got = _values_to_modes(vals, P)
     assert np.array_equal(vals, kept)
     assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("P,n", _PRUNED_SIZES)
+def test_octant_pair_matches_the_half_pair(rng, P, n):
+    # on an axis-even real field the octant pair reads the samples
+    # j = 0..n//2 of the half pair's values, and their even extension gives
+    # the half pair's modes on the octant (odd n = 15 at P = 10)
+    N, m = P // 2, n // 2 + 1
+    octant = rng.standard_normal((N,) * 3)
+    want = _modes_to_values(_octant_to_full(octant), n)[:m, :m, :m]
+    got = _octant_to_values(octant, n)
+    assert got.flags.c_contiguous and got.shape == (m,) * 3
+    assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(want))
+    half = rng.standard_normal((m,) * 3)
+    mirror = np.minimum(np.arange(n), n - np.arange(n))
+    want = _values_to_modes(half[np.ix_(mirror, mirror, mirror)], P)[:N, :N, :N]
+    got = _values_to_octant(half, n, N)
+    assert got.flags.c_contiguous and got.shape == (N,) * 3
+    assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+
+
+def test_even_octant_rule(rng):
+    # the octant stands for the field when it rebuilds the coefficients
+    # within 1e-12 of the largest: even in each axis, real, no Nyquist planes
+    P, N = 8, 4
+    octant = rng.standard_normal((N,) * 3)
+    even = _octant_to_full(octant)
+    assert np.array_equal(_even_octant(even), octant)
+    scale = np.max(np.abs(even))
+    for entry, dev, ok in (((1, 2, 3), 1e-13, True), ((1, 2, 3), 1e-11, False),
+                           ((7, 0, 0), 1e-11, False), ((N, 0, 0), 1e-11, False),
+                           ((1, 0, 0), 1e-11j, False)):
+        near = even.copy()
+        near[entry] += dev * scale
+        assert (_even_octant(near) is not None) == ok, (entry, dev)
+    real = to_spectral(PhysicalField(rng.standard_normal((P,) * 3), _grid(P=P))).data
+    assert _is_real(real) and _even_octant(real) is None
 
 
 @pytest.mark.parametrize("P", [10, 16, 22])
