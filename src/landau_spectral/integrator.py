@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collision import q_scheme_rhs
-from .diagnostics import _v_stack, sample_state
+from .diagnostics import _check_even_exact, _v_stack, sample_state
 from .kernel import KernelTables
 from .spectral import (
     GridSpec,
@@ -17,7 +17,12 @@ from .spectral import (
     _octant_to_full,
     _psi_grid_values,
     to_spectral,
+    velocity_axis,
 )
+
+# the most steps a run may take: far beyond any useful run, and it turns a
+# dt too small for t_end into an error instead of a march that never ends
+MAX_STEPS = 10**9
 
 
 class BlowUpError(RuntimeError):
@@ -51,6 +56,11 @@ class TimeConfig:
         if not np.isfinite(self.t_end / self.dt):
             raise ValueError(f"t_end / dt must be finite, got {self.t_end} / {self.dt}")
         n = round(self.t_end / self.dt)
+        if n > MAX_STEPS:
+            raise ValueError(
+                f"t_end / dt = {n:.3g} steps, more than the 10^9 a run may "
+                f"take; choose a larger dt"
+            )
         if abs(n * self.dt - self.t_end) > 1e-9 * max(self.t_end, self.dt):
             raise ValueError(
                 f"t_end = {self.t_end} is not an integer multiple of dt = {self.dt}"
@@ -81,7 +91,7 @@ def initial_state(f0, grid: GridSpec) -> SpectralField:
     the one used for cutoff multiplications during the run.
     """
     n = grid.oversample * grid.P
-    V = _v_stack(grid, n)
+    V = _v_stack(velocity_axis(grid, n))
     vals = np.asarray(f0(V), dtype=np.float64)
     if grid.cutoff_shape != "none":
         vals = vals * _psi_grid_values(grid, n)
@@ -106,22 +116,30 @@ def run(
     snapshot writers with their own cadence).  Returns the final state.
 
     A state even in each velocity axis (``_even_octant``), like both built-in
-    data, marches as its real (N, N, N) octant, rebuilt to (P, P, P) only for
-    sinks, ``on_sample`` and the return; others march as (P, P, P) arrays.
+    data, marches as its real (N, N, N) octant and is sampled there
+    (``sample_state``); ``exact`` must then be even in each axis too, which
+    is checked before step 1.  The (P, P, P) array is rebuilt only for
+    ``on_sample`` and the return.  Other states march as (P, P, P) arrays.
+    Step 0 samples ``initial`` itself.
     """
     if initial.grid != grid:
         raise ValueError("initial state lives on a different grid")
     rhs = lambda g: q_scheme_rhs(g, grid, tables)
     octant = _even_octant(initial.data)
-    f = initial if octant is None else octant
+    if octant is None:
+        f, full = initial, lambda g: g
+    else:
+        f, full = octant, lambda g: SpectralField(_octant_to_full(g), grid)
+        if exact is not None:
+            _check_even_exact(exact, grid)
 
-    def emit(step: int, t: float, fhat: SpectralField):
-        rec = sample_state(t, fhat, exact)
+    def emit(t: float, fhat):
+        rec = sample_state(t, fhat, exact, grid=grid)
         for sink in sinks:
             sink(rec)
 
     out = initial
-    emit(0, 0.0, out)
+    emit(0.0, out)
     if on_sample is not None:
         on_sample(0, 0.0, out)
     n = time.n_steps
@@ -134,11 +152,11 @@ def run(
         sup = float(np.max(np.abs(f.data if octant is None else f)))
         if not np.isfinite(sup) or sup > sup_cap:
             raise BlowUpError(step, t, time.dt)
-        sampled = step % time.sample_every == 0 or step == n
-        if sampled or on_sample is not None:
-            out = f if octant is None else SpectralField(_octant_to_full(f), grid)
-        if sampled:
-            emit(step, t, out)
+        if step % time.sample_every == 0 or step == n:
+            emit(t, f)
         if on_sample is not None:
+            out = full(f)
             on_sample(step, t, out)
+    if on_sample is None and n > 0:
+        out = full(f)
     return out

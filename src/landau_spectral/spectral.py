@@ -269,14 +269,18 @@ def _assemble(half: np.ndarray) -> np.ndarray:
     return out
 
 
-def _octant_to_values(x: np.ndarray, n: int) -> np.ndarray:
+def _octant_to_values(x: np.ndarray, n: int, axes=(2, 1, 0)) -> np.ndarray:
     """Samples j = 0..n//2 (the rest mirror them) of the n-point inverse DFT
     of an axis-even real field's real octant k_i = 0..N-1: a DCT-I per axis
-    (Swarztrauber, Symmetric FFTs, 1986), axis 0 last for a contiguous result."""
+    (Swarztrauber, Symmetric FFTs, 1986), axis 0 last for a contiguous result.
+
+    The first axis may instead carry i times a real octant, the coefficients
+    of a field odd in that axis (a derivative along it): its pass is then a
+    DST-I, and the others are DCT-Is of the real result."""
     m = n // 2 + 1
-    x = np.fft.irfft(x, n, axis=2)[:, :, :m]
-    x = np.fft.irfft(x, n, axis=1)[:, :m]
-    return np.fft.irfft(x, n, axis=0)[:m]
+    for axis in axes:
+        x = np.fft.irfft(x, n, axis=axis)[(slice(None),) * axis + (slice(m),)]
+    return x
 
 
 def _values_to_octant(vals: np.ndarray, n: int, N: int) -> np.ndarray:

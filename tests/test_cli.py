@@ -356,6 +356,12 @@ def test_run_exit_codes(tmp_path, capsys):
     assert main(["run", str(steps)]) == 1
     err = capsys.readouterr().err
     assert "t_end / dt must be finite" in err and "Traceback" not in err
+    # finite, but 1e100 steps: refused before any work instead of marching forever
+    endless = _write_cfg(tmp_path, name="endless.cfg", dt=1e-300, t_end=1e-200)
+    assert main(["run", str(endless)]) == 1
+    err = capsys.readouterr().err
+    assert "1e+100 steps" in err and "larger dt" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
     # an initial state with no matching Maxwellian -> numerical error
     # (the default shell datum is unresolvable at P=8 on the small box)
     degen = _write_cfg(tmp_path, name="degen.cfg", L=1.8, gamma=-3.0,

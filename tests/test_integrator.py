@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from landau_spectral import diagnostics as diag
+from landau_spectral import integrator
 from landau_spectral.collision import q_scheme_rhs
 from landau_spectral.exact import BkwParams, ShellParams, bkw, coulomb_shell
 from landau_spectral.integrator import (
@@ -15,7 +16,7 @@ from landau_spectral.integrator import (
     rk4_step,
     run,
 )
-from landau_spectral.spectral import GridSpec, SpectralField, _even_octant
+from landau_spectral.spectral import GridSpec, SpectralField, _even_octant, _octant_to_full
 
 
 def _bkw_grid(P=8, cutoff_shape="none", **kw):
@@ -46,6 +47,15 @@ def test_time_config_validation():
     assert TimeConfig(dt=0.1, t_end=0.0).n_steps == 0
     # multiples that are not exact binary fractions still pass
     assert TimeConfig(dt=0.1, t_end=0.7).n_steps == 7
+
+
+def test_time_config_caps_the_step_count():
+    # finite and an integer multiple, but 1e100 steps would never end
+    with pytest.raises(ValueError, match=r"1e\+100 steps.*larger dt"):
+        TimeConfig(dt=1e-300, t_end=1e-200)
+    with pytest.raises(ValueError, match="larger dt"):
+        TimeConfig(dt=1.0, t_end=1e9 + 1.0)
+    assert TimeConfig(dt=1.0, t_end=1e9).n_steps == 10**9
 
 
 @pytest.mark.parametrize("dt,t_end", [(0.05, np.inf), (np.nan, 1.0), (np.inf, 1.0),
@@ -235,6 +245,86 @@ def test_run_marches_axis_even_data_on_the_octant(datum, tables_for):
         else:
             size = np.abs(ref)
         assert np.all(np.abs(got - ref) <= _OCTANT_TOLERANCE[col] * size), col
+
+
+@pytest.mark.parametrize("datum,P", [("shell", 16), ("shell", 32), ("bkw", 16)])
+def test_octant_sample_matches_the_full_sample(datum, P, tables_for):
+    # the octant's mirror-weighted sums against sample_state on the rebuilt
+    # (P, P, P) state, over a few octant steps; the shell's v = -L face makes
+    # u nonzero, so the folded, non-even Maxwellian is exercised
+    if datum == "shell":
+        grid = GridSpec(L=1.8, P=P, gamma=-3.0)
+        f0 = initial_state(lambda V: coulomb_shell(V, ShellParams()), grid)
+        dt, exact = 0.05, None
+    else:
+        grid = _bkw_grid(P=P)
+        f0 = initial_state(_f0(), grid)
+        dt, exact = 1e-3, lambda t, V: bkw(t, V, BkwParams())
+    tables = tables_for(grid)
+    x = _even_octant(f0.data)
+    got, want = [], []
+    for step in range(3):
+        t = step * dt
+        rec = diag.sample_state(t, x, exact, grid=grid)
+        got.append(diag.record_row(rec))
+        want.append(diag.record_row(
+            diag.sample_state(t, SpectralField(_octant_to_full(x), grid), exact)))
+        x = rk4_step(x, dt, lambda g: q_scheme_rhs(g, grid, tables))
+    assert all(float(r[2]) != 0.0 for r in got)  # the v = -L face: u != 0
+    for i, col in enumerate(diag.CSV_COLUMNS):
+        if col == "t" or (exact is None and col in ("e1", "e2")):
+            assert [r[i] for r in got] == [r[i] for r in want]
+            continue
+        new = np.array([float(r[i]) for r in got])
+        ref = np.array([float(r[i]) for r in want])
+        size = grid.L * np.array([float(r[1]) for r in want]) if col.startswith("mom_") else np.abs(ref)
+        assert np.all(np.abs(new - ref) <= _OCTANT_TOLERANCE[col] * size), col
+
+
+def test_octant_sample_rejects_negative_mass():
+    grid = GridSpec(L=2.0, P=8, gamma=-3.0)
+    x = np.zeros((4, 4, 4))
+    x[0, 0, 0] = -1.0
+    with pytest.raises(diag.DegenerateStateError):
+        diag.sample_state(0.0, x, grid=grid)
+    with pytest.raises(ValueError):  # an octant of another grid
+        diag.sample_state(0.0, np.zeros((5, 5, 5)), grid=grid)
+
+
+def test_octant_run_refuses_an_exact_solution_that_is_not_even(tables_for):
+    grid = _bkw_grid(P=8)
+    f0 = initial_state(_f0(), grid)
+    drifted = lambda t, V: bkw(t, V, BkwParams()) * (1.0 + 0.1 * V[..., 0])
+    recs = []
+    with pytest.raises(ValueError, match="not even in each velocity axis"):
+        run(f0, grid, tables_for(grid), TimeConfig(dt=1e-3, t_end=3e-3),
+            sinks=[recs.append], exact=drifted)
+    assert recs == []  # refused before any record, let alone step 1
+
+
+def test_octant_run_samples_every_step_on_the_octant(monkeypatch, tables_for):
+    # the benchmark's diagnostics probe wraps integrator.sample_state; an
+    # octant march samples through it at every step, and rebuilds the
+    # (P, P, P) state only for the return value when there is no on_sample
+    grid = _bkw_grid(P=8)
+    f0 = initial_state(_f0(), grid)
+    samples, rebuilds = [], []
+    sample, rebuild = integrator.sample_state, integrator._octant_to_full
+
+    def counted_sample(t, fhat, exact=None, **kw):
+        samples.append(type(fhat))
+        return sample(t, fhat, exact, **kw)
+
+    def counted_rebuild(octant):
+        rebuilds.append(octant.shape)
+        return rebuild(octant)
+
+    monkeypatch.setattr(integrator, "sample_state", counted_sample)
+    monkeypatch.setattr(integrator, "_octant_to_full", counted_rebuild)
+    tc = TimeConfig(dt=1e-3, t_end=3e-3)
+    run(f0, grid, tables_for(grid), tc)
+    assert samples == [SpectralField] + [np.ndarray] * tc.n_steps
+    assert rebuilds == [(4, 4, 4)]
 
 
 def test_run_zero_horizon_emits_single_record(tables_for):
