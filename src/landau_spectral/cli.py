@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics as diag
-from .collision import CostGuardError, _collide, q_periodic_direct, q_periodic_fast
+from .collision import CostGuardError, _collide, q_periodic_direct
 from .exact import BkwParams, ShellParams, bkw, coulomb_shell
 from .integrator import BlowUpError, TimeConfig, initial_state, run
 from .kernel import (
@@ -363,8 +363,8 @@ def kernel_check(points: int = 8, gamma: float = -3.0):
                         f"max rel defect {qworst:.3e} (tol 1e-9)"))
 
     # fast path vs direct double sum, on complex coefficients, on the
-    # projected real fields that q_scheme_rhs passes to the real transforms
-    # and on the axis-even real fields that run marches as octants
+    # projected real fields that run marches as halves and on the axis-even
+    # real fields that it marches as octants
     beta_fn = beta_coulomb if gamma == -3.0 else beta_from_tables(tables)
     for kind, label in (("complex", ""), ("real", "real-field "),
                         ("even", "axis-even real field ")):
@@ -372,9 +372,9 @@ def kernel_check(points: int = 8, gamma: float = -3.0):
         results.append((label + "FFT evaluation vs direct double sum",
                         worst <= 1e-12, f"max rel defect {worst:.3e} (tol 1e-12)"))
 
-    # negative control: q_periodic_fast's rank form at Q = 3N - 1, where the
+    # negative control: the rank form on whole arrays at Q = 3N - 1, where the
     # image of l + m = -2N lands on N - 1
-    g, h = _random_field(rng, grid, "complex"), _random_field(rng, grid, "complex")
+    (g, _), (h, _) = _random_field(rng, grid, "complex"), _random_field(rng, grid, "complex")
     short = _collide(g.data, h.data, tables, 3 * grid.N - 1)
     dev = _rel_dev(short, q_periodic_direct(g, h, beta_fn).data)
     results.append(("aliasing seen at Q = 3N - 1", dev > 1e-6,
@@ -383,27 +383,30 @@ def kernel_check(points: int = 8, gamma: float = -3.0):
 
 
 def _oracle_deviations(rng, grid: GridSpec, tables, beta_fn, kind: str, trials: int):
-    """Relative deviations of ``q_periodic_fast`` (of the octant collision on
-    "even" fields) from the direct double sum on ``trials`` random pairs."""
+    """Relative deviations from the direct double sum, on the same block,
+    of ``_collide`` on ``trials`` random pairs in the form a state of that
+    kind takes (``_random_field``)."""
+    Q = padded_size(grid)
     for _ in range(trials):
-        g, h = _random_field(rng, grid, kind), _random_field(rng, grid, kind)
+        (g, gs), (h, hs) = _random_field(rng, grid, kind), _random_field(rng, grid, kind)
+        fast = _collide(gs, hs, tables, Q)
         direct = q_periodic_direct(g, h, beta_fn).data
-        if kind != "even":
-            yield _rel_dev(q_periodic_fast(g, h, tables).data, direct)
-        else:  # compared on the octant
-            fast = _collide(_even_octant(g.data), _even_octant(h.data), tables, padded_size(grid))
-            yield _rel_dev(fast, direct[: grid.N, : grid.N, : grid.N])
+        yield _rel_dev(fast, direct[tuple(slice(n) for n in fast.shape)])
 
 
-def _random_field(rng, grid: GridSpec, kind: str) -> SpectralField:
+def _random_field(rng, grid: GridSpec, kind: str):
     """Random "complex" coefficients, or those of a random "real" or
-    axis-"even" real field."""
+    axis-"even" real field, with the form ``_collide`` takes them in: the
+    whole array, the k3 >= 0 half or the real (N, N, N) octant."""
     if kind == "even":
-        return SpectralField(_octant_to_full(rng.standard_normal((grid.N,) * 3)), grid)
+        octant = rng.standard_normal((grid.N,) * 3)
+        return SpectralField(_octant_to_full(octant), grid), octant
     vals = rng.standard_normal((grid.P,) * 3)
     if kind == "real":
-        return to_spectral(PhysicalField(vals, grid))
-    return SpectralField(vals + 1j * rng.standard_normal(vals.shape), grid)
+        f = to_spectral(PhysicalField(vals, grid))
+        return f, f.data[:, :, : grid.N]
+    f = SpectralField(vals + 1j * rng.standard_normal(vals.shape), grid)
+    return f, f.data
 
 
 def _rel_dev(fast: np.ndarray, direct: np.ndarray) -> float:

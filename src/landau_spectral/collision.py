@@ -9,18 +9,18 @@ l.m = (|k|^2 - |l|^2 - |m|^2)/2, so the sum splits into three truncated
 convolution sums weighted by 1, |k|^2 and |k|^4 (the rank form, after
 Mouhot & Pareschi's kernel splitting): four first factors of g and three
 second factors of h, each transformed once, give 7 zero-padded inverse and
-3 forward transforms per evaluation (``_collide``).  The operands pick the
-transforms (``spectral._convolution_transforms``): for real states the
-k3 >= 0 half spectra are zero-padded to Q >= 3N points per axis in pruned
-one-axis passes that skip the all-zero columns, and the scheme right-hand
-side carries the state as that half through all three stages, or, for a
-state even in each velocity axis, as its real (N, N, N) octant.  The direct
-double-sum evaluator is retained as an O(P^6) oracle for small P.
+3 forward transforms per evaluation (``_collide``).  The operands' shape
+picks the transforms (``spectral._convolution_transforms``).  The scheme
+right-hand side carries a real state through all three stages as its
+(P, P, N) k3 >= 0 half, zero-padded to Q >= 3N points per axis in pruned
+one-axis real passes that skip the all-zero columns, or, for a state even
+in each velocity axis, as its real (N, N, N) octant through DCT-Is.  Whole
+(P, P, P) arrays, which only ``q_periodic_fast`` passes, take complex
+transforms.  The direct double-sum evaluator is retained as an O(P^6)
+oracle for small P.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .spectral import (  # noqa: F401
     _cutoff_half,
     _mode_ints,
     _project_half,
+    _state_grid,
     apply_cutoff,
     padded_size,
     project,
@@ -46,10 +47,9 @@ class CostGuardError(RuntimeError):
     """Refusal to run the O(P^6) direct sum on a large grid."""
 
 
-@lru_cache(maxsize=32)
 def _k2(P: int, shape: tuple) -> np.ndarray:
     """|k|^2 over the modes of an array of that shape, which starts each
-    FFT-order axis (a whole, a half, an octant).  Shared: never write to it."""
+    FFT-order axis (a whole, a half, an octant)."""
     k = _mode_ints(P).astype(np.float64) ** 2
     return k[: shape[0], None, None] + k[None, : shape[1], None] + k[None, None, : shape[2]]
 
@@ -80,15 +80,15 @@ def _collide(g: np.ndarray, h: np.ndarray, tables: KernelTables, Q: int) -> np.n
     most five padded arrays are live.  g and h are (P, P, P) arrays,
     (P, P, N) k3 >= 0 halves or real (N, N, N) octants of axis-even fields;
     the tables and |k|^2, real and even in each k_i, are read on the same
-    block, so g and h alone pick the transforms.  Q >= 3N gives the literal
-    double sum to rounding, less close than separate convolutions since the
-    |k|^4 terms cancel.
+    block, and the shape of g alone picks the transforms.  Q >= 3N gives
+    the literal double sum to rounding, less close than separate
+    convolutions since the |k|^4 terms cancel.
     """
     P = tables.P
     block = tuple(slice(n) for n in g.shape)
     A, B, Cs = tables.A[block], tables.B[block], tables.Cs[block]
     k2 = _k2(P, g.shape)
-    values, modes = _convolution_transforms([g, h], P, Q)
+    values, modes = _convolution_transforms(g.shape, P, Q)
     a3 = (0.25 * Cs) * g
     H = values(h)
     X3 = values(a3)
@@ -119,10 +119,10 @@ def q_periodic_fast(
 ) -> SpectralField:
     """FFT evaluation of Qhat(g, h) on J_N, unprojected, in the rank form.
 
-    Works for arbitrary complex coefficients.  When both operands are real
-    fields (``spectral._is_real``) so are the seven factors, and the
-    transforms run real passes on their k3 >= 0 halves.  Padded by the 3/2
-    rule, this is the literal double sum to rounding (``_collide``).
+    Works for arbitrary complex coefficients: the whole arrays take complex
+    transforms of the zero-padded Q^3 cube.  Padded by the 3/2 rule, this
+    is the literal double sum to rounding (``_collide``).  ``run`` does not
+    call it: a march collides k3 >= 0 halves or octants (``q_scheme_rhs``).
     """
     _check_compatible(ghat.grid, hhat.grid, tables)
     grid = ghat.grid
@@ -213,15 +213,16 @@ def q_scheme_rhs(fhat, grid, tables: KernelTables):
     transforms; the whole
     (P, P, P) array is assembled once, at the end.  The result equals
     ``project(apply_cutoff(project(q_periodic_fast(F, F, tables))))`` with
-    ``F = project(apply_cutoff(fhat))`` bit for bit: F is real, so both
-    take the same real transforms.
+    ``F = project(apply_cutoff(fhat))`` to rounding: that composition
+    collides whole arrays through complex transforms.
 
-    ``fhat`` may instead be the real (N, N, N) octant of an axis-even state,
-    as ``run`` marches it: every stage and the result are octants then.
+    ``fhat`` may instead be the real float64 (N, N, N) octant of an
+    axis-even state, as ``run`` marches it: every stage and the result are
+    octants then.  Either form is checked against ``grid``
+    (``spectral._state_grid``).
     """
     octant = isinstance(fhat, np.ndarray)
-    if (fhat.shape != (grid.N,) * 3) if octant else (fhat.grid != grid):
-        raise ShapeMismatchError("state grid differs from the requested grid")
+    _state_grid(fhat, grid)
     _check_compatible(grid, grid, tables)
     F = _cutoff_half(fhat if octant else fhat.data, grid)
     U = _collide(F, F, tables, padded_size(grid))

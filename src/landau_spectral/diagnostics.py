@@ -19,19 +19,18 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .spectral import (
     GridSpec,
     PhysicalField,
-    ShapeMismatchError,
     SpectralField,
     _half_to_values,
     _mode_ints,
     _octant_to_values,
     _phase3,
+    _state_grid,
     to_physical,
     velocity_axis,
 )
@@ -62,9 +61,8 @@ def _moment_set(rho: float, momentum: np.ndarray, energy: float, m4: float) -> M
     return MomentSet(rho=rho, momentum=momentum, energy=energy, u=u, T=float(T), m4=m4)
 
 
-@lru_cache(maxsize=16)
-def _r2_grid(grid: GridSpec, n: int) -> np.ndarray:
-    v = velocity_axis(grid, n)
+def _r2(v: np.ndarray) -> np.ndarray:
+    """|v|^2 over the grid with axis coordinates v."""
     return v[:, None, None] ** 2 + v[None, :, None] ** 2 + v[None, None, :] ** 2
 
 
@@ -91,7 +89,7 @@ def moments(f: PhysicalField) -> MomentSet:
             np.dot(f.data.sum(axis=(0, 1)), v),
         ]
     ) * w
-    r2 = _r2_grid(grid, n)
+    r2 = _r2(v)
     energy = float(np.sum(f.data * r2)) * w
     m4 = float(np.sum(f.data * r2 * r2)) * w
     return _moment_set(rho, mom, energy, m4)
@@ -259,17 +257,17 @@ def sample_state(t: float, fhat, exact=None, *, grid: GridSpec | None = None) ->
     """Compute the full diagnostics row for a spectral state.
 
     ``fhat`` is a SpectralField, whose values on the P^3 grid are checked
-    for reality by ``to_physical``, or the real (N, N, N) octant of an
-    axis-even state, as ``run`` marches it, with its ``grid``.  An octant is
-    sampled on its (N + 1)^3 mirror samples with mirror weights (see the
-    module docstring), ``exact`` included; the caller makes sure that
-    ``exact`` is even in each axis (``_check_even_exact``).
+    for reality by ``to_physical``, or the real float64 (N, N, N) octant of
+    an axis-even state, as ``run`` marches it, with its ``grid``.  A
+    ``grid`` given with a SpectralField must be the field's own
+    (``spectral._state_grid``).  An octant is sampled on its (N + 1)^3
+    mirror samples with mirror weights (see the module docstring),
+    ``exact`` included; the caller makes sure that ``exact`` is even in
+    each axis (``_check_even_exact``).
     """
+    grid = _state_grid(fhat, grid)
     if isinstance(fhat, np.ndarray):
-        if grid is None or fhat.shape != (grid.N,) * 3:
-            raise ShapeMismatchError("an octant state is sampled on the grid it lives on")
         return _sample_octant(t, fhat, grid, exact)
-    grid = fhat.grid
     f = to_physical(fhat)
     ms = moments(f)
     mu = maxwellian_of(ms, grid)
@@ -312,7 +310,7 @@ def _sample_octant(t: float, x: np.ndarray, grid: GridSpec, exact) -> Diagnostic
     scale = P**3 / (2.0 * L) ** 3
     f = _octant_to_values(x, P) * scale
     v = velocity_axis(grid, P)[: N + 1]
-    r2 = _r2_grid(grid, P)[: N + 1, : N + 1, : N + 1]
+    r2 = _r2(v)
     Mf = M * f
     face = m[:, None] * m[None, :]  # the images of the v_a = -L face; v_{P-j} = -v_j pair off
     ms = _moment_set(

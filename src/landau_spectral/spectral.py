@@ -172,7 +172,6 @@ def velocity_axis(grid: GridSpec, n: int | None = None) -> np.ndarray:
     return -grid.L + 2.0 * grid.L * np.arange(n) / n
 
 
-@lru_cache(maxsize=32)
 def _mode_ints(P: int) -> np.ndarray:
     """Integer mode numbers in FFT order: [0..N-1, -N..-1]."""
     return np.fft.fftfreq(P, d=1.0 / P).astype(np.int64)
@@ -215,36 +214,17 @@ def _modes_to_values(src: np.ndarray, n: int) -> np.ndarray:
 
 
 def _values_to_rows(vals: np.ndarray, P: int) -> np.ndarray:
-    """DFT of real samples on an n^3 grid at k3 = 0..N and, on axes 0 and 1,
-    the rows of J_N in FFT order followed by the k = +N row: a
-    (P + 1, P + 1, N + 1) array whose k3 >= 0 half is ``[:P, :P, :N]``.
+    """DFT of real samples on an n^3 grid at the modes of J_N with k3 >= 0:
+    the unprojected (P, P, N) k3 >= 0 half, in FFT order.
 
     The mirror image of ``_modes_to_values``: an r2c pass along axis 2
-    keeps k3 = 0..N, then passes along axes 0 and 1 each keep those rows.
-    The k = +N row (row P) is the conjugate partner of the k = -N Nyquist
-    row.
+    keeps k3 = 0..N-1, then passes along axes 0 and 1 each keep the rows
+    of J_N.
     """
-    N = P // 2
-    keep = np.r_[_embed_idx(P, vals.shape[0]), N]
-    a = np.fft.rfft(vals, axis=2)[:, :, : N + 1]
-    a = np.fft.fft(a, axis=0)[keep]
-    return np.fft.fft(a, axis=1, out=a)[:, keep]  # a is ours: a row copy
-
-
-def _values_to_modes(vals: np.ndarray, P: int) -> np.ndarray:
-    """DFT values at every mode of J_N of real samples on an n^3 grid.
-
-    Unprojected: negative k3 are rebuilt from the partner (-k1,-k2,-k3) of
-    the kept rows by conjugation, the k3 = -N plane from k3 = +N (row P).
-    """
-    N = P // 2
-    a = _values_to_rows(vals, P)
-    neg = -_mode_ints(P) % P
-    neg[N] = P
-    out = np.empty((P, P, P), dtype=np.complex128)
-    out[:, :, :N] = a[:P, :P, :N]
-    out[:, :, N:] = np.conj(a[np.ix_(neg, neg, np.arange(N, 0, -1))])
-    return out
+    idx = _embed_idx(P, vals.shape[0])
+    a = np.fft.rfft(vals, axis=2)[:, :, : P // 2]
+    a = np.fft.fft(a, axis=0)[idx]
+    return np.fft.fft(a, axis=1, out=a)[:, idx]  # a is ours: a row copy
 
 
 def _project_half(half: np.ndarray) -> np.ndarray:
@@ -307,6 +287,30 @@ def _even_octant(data: np.ndarray) -> np.ndarray | None:
     return octant if near else None
 
 
+def _state_grid(fhat, grid: GridSpec | None) -> GridSpec:
+    """The grid of a state as ``run`` marches it, checked against ``grid``
+    when that is given.  The state is a SpectralField, or the real float64
+    (N, N, N) octant of an axis-even state, which carries no grid of its
+    own and so needs ``grid``.  Raises ShapeMismatchError otherwise."""
+    if not isinstance(fhat, np.ndarray):
+        if grid is not None and fhat.grid != grid:
+            raise ShapeMismatchError("state grid differs from the requested grid")
+        return fhat.grid
+    if grid is None:
+        raise ShapeMismatchError("an octant state carries no grid; give the grid it lives on")
+    if fhat.shape != (grid.N,) * 3:
+        raise ShapeMismatchError(
+            f"an octant state of shape {fhat.shape} does not live on a grid "
+            f"with P = {grid.P}, whose octants have shape {(grid.N,) * 3}"
+        )
+    if fhat.dtype != np.float64:
+        raise ShapeMismatchError(
+            f"an octant state holds the real coefficients of an axis-even "
+            f"field as float64, got dtype {fhat.dtype}"
+        )
+    return grid
+
+
 def _half_to_values(src: np.ndarray, grid: GridSpec, n: int) -> np.ndarray:
     """Point values on the n^3 grid of a real field from its k3 >= 0 half
     ``src[:, :, :N]`` (``src`` is the whole array or just that half)."""
@@ -318,14 +322,16 @@ def _half_to_values(src: np.ndarray, grid: GridSpec, n: int) -> np.ndarray:
 def _values_to_half(vals: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Projected k3 >= 0 half of the rectangle-rule coefficients of samples."""
     P = grid.P
-    half = _values_to_rows(vals, P)[:P, :P, : P // 2]
+    half = _values_to_rows(vals, P)
     half *= _phase3(P) * (2.0 * grid.L / vals.shape[0]) ** 3
     return _project_half(half)
 
 
 def _check_hermitian(data: np.ndarray) -> None:
     """Raise unless (P, P, P) coefficients describe a real field: Hermitian
-    with zero Nyquist planes, each within 1e-12 of the largest coefficient."""
+    with zero Nyquist planes, each within 1e-12 of the largest coefficient.
+    The check of the public whole-array entry points (``to_physical``,
+    ``apply_cutoff``); the transforms do not consult it."""
     P = data.shape[0]
     N = P // 2
     scale = np.max(np.abs(data))
@@ -342,17 +348,6 @@ def _check_hermitian(data: np.ndarray) -> None:
             f"(symmetry defect {defect:.3e}, Nyquist magnitude {nyq:.3e}, "
             f"scale {scale:.3e})"
         )
-
-
-def _is_real(data: np.ndarray) -> bool:
-    """Whether ``_check_hermitian`` accepts the coefficients: the one rule
-    for rejecting inputs and for choosing transforms
-    (``_convolution_transforms``)."""
-    try:
-        _check_hermitian(data)
-    except HermitianSymmetryError:
-        return False
-    return True
 
 
 def project(fhat: SpectralField) -> SpectralField:
@@ -374,7 +369,7 @@ def to_spectral(field: PhysicalField) -> SpectralField:
 
     The grid size must be a multiple of P; modes above N-1 are discarded
     (projection) and the Nyquist planes are zeroed.  The transform runs
-    one axis at a time and keeps only the rows of the modes -N..N after
+    one axis at a time and keeps only the rows of the modes -N..N-1 after
     each pass (``_values_to_rows``).  The k3 >= 0 half is computed and
     the negative k3 are its conjugates (``_assemble``).
     """
@@ -501,34 +496,28 @@ def _next_fast_len(n: int) -> int:
         n += 1
 
 
-def _convolution_transforms(operands, P: int, Q: int):
+def _convolution_transforms(shape: tuple, P: int, Q: int):
     """The transform pair ``(values, modes)`` of truncated convolutions on J_N
-    at Q points per axis, chosen by the operands they will transform.
+    at Q points per axis, chosen by the shape of the operands alone.
 
-    ``values(x)`` gives the zero-padded point values of coefficients x shaped
-    like the operands; ``modes(v)`` gives, in that shape and unprojected, the
+    ``values(x)`` gives the zero-padded point values of coefficients x of
+    that shape; ``modes(v)`` gives, in that shape and unprojected, the
     coefficients on J_N of a sum v of products of such values (v may be
     overwritten), so that ``modes(values(x) * values(y))`` is conv(x, y).
     Q >= 3N gives the literal truncated sums; Q < 3N aliases
-    (``padded_size``).  Real (N, N, N) octants of axis-even fields take the
-    DCT-I pair (``_octant_to_values``).  (P, P, N) operands are k3 >= 0
-    halves of real fields; (P, P, P) operands that all pass ``_is_real`` are
-    read on those halves too, in pruned one-axis real passes
-    (``_modes_to_values``).  Any others take n-D complex transforms of the
+    (``padded_size``).  (N, N, N) operands are real octants of axis-even
+    fields and take the DCT-I pair (``_octant_to_values``); (P, P, N)
+    operands are k3 >= 0 halves of real fields and take pruned one-axis
+    real passes (``_modes_to_values``, ``_values_to_rows``); (P, P, P)
+    operands are any coefficients and take n-D complex transforms of the
     zero-padded Q^3 cube.
     """
-    whole = operands[0].shape[2] == P
-    if operands[0].shape[0] == P // 2:
+    if shape[0] == P // 2:
         values = lambda x: _octant_to_values(x, Q)
         forward = lambda v: _values_to_octant(v, Q, P // 2)
-    elif not whole or all(_is_real(a) for a in operands):
-
-        def values(x):
-            return _modes_to_values(x, Q)
-
-        def forward(v):
-            return _values_to_modes(v, P) if whole else _values_to_rows(v, P)[:P, :P, : P // 2]
-
+    elif shape[2] == P // 2:
+        values = lambda x: _modes_to_values(x, Q)
+        forward = lambda v: _values_to_rows(v, P)
     else:
         idx = _embed_idx(P, Q)
         ix = np.ix_(idx, idx, idx)
@@ -553,13 +542,14 @@ def truncated_convolution(xhat: SpectralField, yhat: SpectralField) -> SpectralF
     """Mode-space convolution z(k) = sum_{l+m=k, l,m in J_N} x(l) y(m), k in J_N.
 
     Padded by the 3/2 rule, so this is the literal truncated double sum to
-    rounding, for any coefficients (the operands pick the transforms).
+    rounding, for any coefficients: the whole arrays take complex
+    transforms of the zero-padded Q^3 cube (``_convolution_transforms``).
     """
     if xhat.grid != yhat.grid:
         raise ShapeMismatchError("operands live on different grids")
     grid = xhat.grid
     x, y = xhat.data, yhat.data
-    values, modes = _convolution_transforms([x, y], grid.P, padded_size(grid))
+    values, modes = _convolution_transforms(x.shape, grid.P, padded_size(grid))
     v = values(x)
     v *= values(y)
     return SpectralField(modes(v), grid)

@@ -19,7 +19,6 @@ from landau_spectral.spectral import (
     PhysicalField,
     ShapeMismatchError,
     SpectralField,
-    _is_real,
     _mode_ints,
     apply_cutoff,
     padded_size,
@@ -68,8 +67,7 @@ def _sum_of_term_pairs(gdata, hdata, tables, Q):
     points per axis, through the engine's transform pair: part of the
     reference."""
     pairs = list(_term_pairs(gdata, hdata, tables))
-    values, modes = spectral._convolution_transforms(
-        [a for pair in pairs for a in pair], gdata.shape[0], Q)
+    values, modes = spectral._convolution_transforms(gdata.shape, gdata.shape[0], Q)
     return modes(sum(values(x) * values(y) for x, y in pairs))
 
 
@@ -152,10 +150,10 @@ def test_delta_modes_outside_range_vanish(tables_for):
 
 @pytest.mark.parametrize("P", [4, 6, 8])
 def test_fast_matches_direct(P, tables_for, rng):
-    # besides real fields, two near misses of the real-field rule: one
-    # coefficient 1e-9 of the scale off its conjugate, and a Hermitian field
-    # with live Nyquist planes.  A rule loose enough to read only their
-    # k3 >= 0 halves would miss the direct sum
+    # whole arrays take complex transforms whatever their symmetry: real
+    # fields, and two near misses of one, a coefficient 1e-9 of the scale
+    # off its conjugate and a Hermitian field with live Nyquist planes,
+    # whose k3 >= 0 halves alone would miss the direct sum
     grid = _grid(P=P, L=1.7)
     tables = tables_for(grid)
     g = _hermitian(grid, rng)
@@ -172,20 +170,21 @@ def test_fast_matches_direct(P, tables_for, rng):
 
 @pytest.mark.parametrize("P", [4, 6, 8, 16])
 def test_real_transform_path_matches_direct(P, tables_for, rng, monkeypatch):
-    # the path q_scheme_rhs takes: projected real fields, real transforms,
-    # which real g and h select; the seven factors of the rank form that
-    # the real passes then read are real fields too
+    # the path q_scheme_rhs takes for a state that is not axis-even: the
+    # k3 >= 0 halves of projected real fields, whose shape selects the real
+    # passes; the seven factors of the rank form are such halves too
     grid = _grid(P=P, L=1.7)
+    N = grid.N
     tables = tables_for(grid)
     g = _hermitian(grid, rng)
     h = _hermitian(grid, rng)
     factors, _ = _count_padded_transforms(monkeypatch, padded_size(grid))
-    fast = q_periodic_fast(g, h, tables)
+    fast = _collide(g.data[:, :, :N], h.data[:, :, :N], tables, padded_size(grid))
     assert len(factors) == 7
-    assert all(a.shape == (P,) * 3 and _is_real(a) for a in factors)
-    direct = q_periodic_direct(g, h)
-    scale = np.max(np.abs(direct.data))
-    assert np.max(np.abs(fast.data - direct.data)) < 1e-12 * scale
+    assert all(a.shape == (P, P, N) for a in factors)
+    direct = q_periodic_direct(g, h).data[:, :, :N]
+    scale = np.max(np.abs(direct))
+    assert np.max(np.abs(fast - direct)) < 1e-12 * scale
 
 
 @pytest.mark.parametrize("P", [8, 16])
@@ -358,8 +357,10 @@ def test_scheme_rhs_is_real_and_projected(tables_for, rng):
 @pytest.mark.parametrize("P", [8, 16, 32])
 @pytest.mark.parametrize("shape", ["paper", "smooth", "none"])
 def test_scheme_rhs_equals_the_public_stage_composition(P, shape, tables_for, rng):
-    # the half-spectrum right-hand side is bit for bit the composition of the
-    # public full-array stages.  The input's Nyquist planes are nonzero: at
+    # the half-spectrum right-hand side is the composition of the public
+    # full-array stages to rounding: q_periodic_fast collides the whole
+    # arrays through complex transforms (worst seen 1.7e-13 relative, at
+    # P = 32 with no cutoff).  The input's Nyquist planes are nonzero: at
     # 1e-13 of the scale, which apply_cutoff's Hermitian check accepts and
     # whose k1, k2 = -N rows its inverse transform reads; with no cutoff,
     # at full size (both sides project them away)
@@ -377,7 +378,7 @@ def test_scheme_rhs_equals_the_public_stage_composition(P, shape, tables_for, rn
     F = project(apply_cutoff(f))
     want = project(apply_cutoff(project(q_periodic_fast(F, F, tables))))
     got = q_scheme_rhs(f, grid, tables)
-    assert np.array_equal(got.data, want.data)
+    assert np.max(np.abs(got.data - want.data)) <= 1e-12 * np.max(np.abs(want.data))
     assert np.array_equal(f.data, kept)
 
 
@@ -415,7 +416,7 @@ def test_scheme_rhs_traced_peak_stays_small(tables_for, rng):
     grid = _grid(P=32, L=1.8)
     tables = tables_for(grid)
     f = _hermitian(grid, rng, scale=0.1)
-    q_scheme_rhs(f, grid, tables)  # warm: caches of cutoff values and |k|^2
+    q_scheme_rhs(f, grid, tables)  # warm: the cache of cutoff values
     tracemalloc.start()
     try:
         q_scheme_rhs(f, grid, tables)
@@ -423,6 +424,19 @@ def test_scheme_rhs_traced_peak_stays_small(tables_for, rng):
     finally:
         tracemalloc.stop()
     assert peak <= 7 * 2**20
+
+
+def test_scheme_rhs_refuses_an_octant_that_is_not_real(tables_for, rng):
+    # a complex (N, N, N) array is no octant state: its imaginary part would
+    # be dropped by the real passes without a word
+    grid = _grid(P=8)
+    tables = tables_for(grid)
+    octant = _even(grid, rng, scale=0.1)[1]
+    noisy = octant + 0.01j * rng.standard_normal(octant.shape)
+    with pytest.raises(ShapeMismatchError, match="complex128"):
+        q_scheme_rhs(noisy, grid, tables)
+    with pytest.raises(ShapeMismatchError, match="complex128"):
+        q_scheme_rhs(octant.astype(np.complex128), grid, tables)
 
 
 def test_scheme_rhs_grid_mismatch_raises(tables_for, rng):

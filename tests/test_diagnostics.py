@@ -16,6 +16,7 @@ from landau_spectral.diagnostics import (
     l2_distance,
     maxwellian_of,
     moments,
+    record_row,
     relative_entropy,
     sample_state,
     write_csv,
@@ -24,6 +25,7 @@ from landau_spectral.exact import BkwParams, bkw
 from landau_spectral.spectral import (
     GridSpec,
     PhysicalField,
+    ShapeMismatchError,
     to_physical,
     to_spectral,
     velocity_axis,
@@ -274,6 +276,16 @@ def test_sample_state_rejects_degenerate(rng):
     fhat = to_spectral(PhysicalField(vals, grid))
     with pytest.raises(DegenerateStateError):
         sample_state(0.0, fhat)
+
+
+def test_sample_state_checks_the_grid_it_is_given():
+    # a field is sampled on its own grid; another grid given with it is an
+    # error, not a silent substitute
+    grid = GridSpec(L=1.8, P=8, gamma=-3.0)
+    fhat = to_spectral(PhysicalField(_maxwellian(grid, T=0.2).data, grid))
+    assert record_row(sample_state(0.0, fhat, grid=grid)) == record_row(sample_state(0.0, fhat))
+    with pytest.raises(ShapeMismatchError, match="differs"):
+        sample_state(0.0, fhat, grid=GridSpec(L=3.0, P=8, gamma=-3.0))
 
 
 def test_diagnostics_record_defaults():

@@ -16,7 +16,13 @@ from landau_spectral.integrator import (
     rk4_step,
     run,
 )
-from landau_spectral.spectral import GridSpec, SpectralField, _even_octant, _octant_to_full
+from landau_spectral.spectral import (
+    GridSpec,
+    ShapeMismatchError,
+    SpectralField,
+    _even_octant,
+    _octant_to_full,
+)
 
 
 def _bkw_grid(P=8, cutoff_shape="none", **kw):
@@ -289,6 +295,18 @@ def test_octant_sample_rejects_negative_mass():
         diag.sample_state(0.0, x, grid=grid)
     with pytest.raises(ValueError):  # an octant of another grid
         diag.sample_state(0.0, np.zeros((5, 5, 5)), grid=grid)
+
+
+def test_octant_sample_refuses_an_octant_that_is_not_real():
+    # a complex (N, N, N) array is no octant state: the DCT-Is would sample
+    # only its real part
+    grid = GridSpec(L=1.8, P=16, gamma=-3.0)
+    x = _even_octant(initial_state(lambda V: coulomb_shell(V, ShellParams()), grid).data)
+    noisy = x + 0.01j * np.max(np.abs(x)) * np.random.default_rng(3).standard_normal(x.shape)
+    with pytest.raises(ShapeMismatchError, match="complex128"):
+        diag.sample_state(0.0, noisy, grid=grid)
+    with pytest.raises(ShapeMismatchError, match="octant"):
+        diag.sample_state(0.0, x)  # an octant carries no grid
 
 
 def test_octant_run_refuses_an_exact_solution_that_is_not_even(tables_for):

@@ -26,15 +26,15 @@ from landau_spectral.spectral import (
 )
 from landau_spectral.spectral import (
     _LSFD_HEADER,
+    _check_hermitian,
     _convolution_transforms,
     _even_octant,
-    _is_real,
     _modes_to_values,
     _next_fast_len,
     _octant_to_full,
     _octant_to_values,
-    _values_to_modes,
     _values_to_octant,
+    _values_to_rows,
 )
 
 
@@ -299,12 +299,15 @@ def _padded_convolution(pairs, P, Q):
 
 
 def test_hermitian_engine_matches_complex(rng):
+    # the real engine runs on the k3 >= 0 halves of real fields
     grid = _grid(P=8, L=2.0)
-    x = to_spectral(PhysicalField(rng.standard_normal((8, 8, 8)), grid))
-    y = to_spectral(PhysicalField(rng.standard_normal((8, 8, 8)), grid))
-    want = _padded_convolution([(x.data, y.data)], grid.P, 2 * grid.P)
-    values, modes = _convolution_transforms([x.data, y.data], grid.P, 2 * grid.P)
-    got = modes(values(x.data) * values(y.data))
+    N = grid.N
+    x = to_spectral(PhysicalField(rng.standard_normal((8, 8, 8)), grid)).data
+    y = to_spectral(PhysicalField(rng.standard_normal((8, 8, 8)), grid)).data
+    want = _padded_convolution([(x, y)], grid.P, 2 * grid.P)[:, :, :N]
+    x, y = x[:, :, :N], y[:, :, :N]
+    values, modes = _convolution_transforms(x.shape, grid.P, 2 * grid.P)
+    got = modes(values(x) * values(y))
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
@@ -315,10 +318,11 @@ def test_hermitian_engine_accumulates_pairs(rng):
         for _ in range(4)
     ]
     pairs = [(fields[0].data, fields[1].data), (fields[2].data, fields[3].data)]
-    # modes of a sum of products: _collide's W0 and W1 rely on it
-    values, modes = _convolution_transforms([f.data for f in fields], grid.P, 2 * grid.P)
-    got = modes(sum(values(x) * values(y) for x, y in pairs))
-    want = _padded_convolution(pairs, grid.P, 2 * grid.P)
+    want = _padded_convolution(pairs, grid.P, 2 * grid.P)[:, :, : grid.N]
+    # modes of a sum of products of halves: _collide's W0 and W1 rely on it
+    halves = [(x[:, :, : grid.N], y[:, :, : grid.N]) for x, y in pairs]
+    values, modes = _convolution_transforms(halves[0][0].shape, grid.P, 2 * grid.P)
+    got = modes(sum(values(x) * values(y) for x, y in halves))
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
@@ -340,7 +344,6 @@ def test_engine_at_three_halves_matches_brute_force(rng, real):
         cases = [(x + 1j * rng.standard_normal(x.shape), y + rng.standard_normal(y.shape)),
                  (_hermitian_modes(rng, 6), _hermitian_modes(rng, 6))]
     for x, y in cases:
-        assert _is_real(x) == _is_real(y) == real  # the operands pick the engine
         want = _brute_convolution(x, y, 6)
         got = truncated_convolution(SpectralField(x, grid), SpectralField(y, grid)).data
         assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
@@ -355,10 +358,35 @@ def test_engine_one_short_of_three_halves_aliases(rng):
     want = _brute_convolution(x, y, 6)
     got = {}
     for Q in (8, 9):
-        values, modes = _convolution_transforms([x, y], 6, Q)
+        values, modes = _convolution_transforms(x.shape, 6, Q)
         got[Q] = modes(values(x) * values(y))
     assert np.max(np.abs(got[8] - want)) > 1e-6 * np.max(np.abs(want))
     assert np.max(np.abs(got[9] - want)) < 1e-13 * np.max(np.abs(want))
+
+
+def test_convolution_transforms_choose_by_shape(rng):
+    # the shape alone picks the pair: a whole pair takes complex transforms
+    # of the Q^3 cube even when it is Hermitian, a k3 >= 0 half and a real
+    # octant take real passes; each gives the literal sum on its block
+    P, N = 6, 3
+    grid = _grid(P=P, L=1.0)
+    Q = padded_size(grid)
+    x, y = (to_spectral(PhysicalField(rng.standard_normal((P,) * 3), grid)).data
+            for _ in range(2))
+    _check_hermitian(x)
+    _check_hermitian(y)
+    ox, oy = rng.standard_normal((N,) * 3), rng.standard_normal((N,) * 3)
+    cases = [((x, y), (x, y), np.complex128, (Q, Q, Q)),
+             ((x, y), (x[:, :, :N], y[:, :, :N]), np.float64, (Q, Q, Q)),
+             ((_octant_to_full(ox), _octant_to_full(oy)), (ox, oy), np.float64,
+              (Q // 2 + 1,) * 3)]
+    for (a, b), (u, w), dtype, shape in cases:
+        values, modes = _convolution_transforms(u.shape, P, Q)
+        vu = values(u)
+        assert (vu.dtype, vu.shape) == (dtype, shape)
+        got = modes(vu * values(w))
+        want = _brute_convolution(a, b, P)[tuple(slice(n) for n in u.shape)]
+        assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------
@@ -405,12 +433,13 @@ def test_pruned_inverse_matches_full_irfftn(rng, P, n):
 
 @pytest.mark.parametrize("P,n", _PRUNED_SIZES)
 def test_pruned_forward_matches_full_dft(rng, P, n):
-    # every entry, the k_i = -N Nyquist planes included: their k3 < 0 part
-    # comes from the conjugate partner at k_i = +N
+    # every entry of the unprojected k3 >= 0 half, the k1, k2 = -N Nyquist
+    # rows included
     vals = rng.standard_normal((n, n, n))
-    want = _full_forward(vals, P)
+    want = _full_forward(vals, P)[:, :, : P // 2]
     kept = vals.copy()
-    got = _values_to_modes(vals, P)
+    got = _values_to_rows(vals, P)
+    assert got.shape == (P, P, P // 2)
     assert np.array_equal(vals, kept)
     assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(want))
 
@@ -428,7 +457,7 @@ def test_octant_pair_matches_the_half_pair(rng, P, n):
     assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(want))
     half = rng.standard_normal((m,) * 3)
     mirror = np.minimum(np.arange(n), n - np.arange(n))
-    want = _values_to_modes(half[np.ix_(mirror, mirror, mirror)], P)[:N, :N, :N]
+    want = _values_to_rows(half[np.ix_(mirror, mirror, mirror)], P)[:N, :N, :N]
     got = _values_to_octant(half, n, N)
     assert got.flags.c_contiguous and got.shape == (N,) * 3
     assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
@@ -449,21 +478,23 @@ def test_even_octant_rule(rng):
         near[entry] += dev * scale
         assert (_even_octant(near) is not None) == ok, (entry, dev)
     real = to_spectral(PhysicalField(rng.standard_normal((P,) * 3), _grid(P=P))).data
-    assert _is_real(real) and _even_octant(real) is None
+    _check_hermitian(real)  # a real field, but not an axis-even one
+    assert _even_octant(real) is None
 
 
 @pytest.mark.parametrize("P", [10, 16, 22])
 def test_hermitian_engine_unprojected_output_matches_complex(rng, P):
-    # the engine returns unprojected modes: the k_i = -N planes of the
-    # real path must match the complex reference too (odd Q = 15 at P = 10)
+    # the engine returns unprojected modes: the k1, k2 = -N rows of the real
+    # path's halves must match the complex reference too (odd Q = 15 at P = 10)
     grid = _grid(P=P)
     Q = padded_size(grid)
+    N = P // 2
     x, y = (to_spectral(PhysicalField(rng.standard_normal((P,) * 3), grid)).data
             for _ in range(2))
-    want = _padded_convolution([(x, y)], P, Q)
-    values, modes = _convolution_transforms([x, y], P, Q)
+    want = _padded_convolution([(x, y)], P, Q)[:, :, :N]
+    x, y = x[:, :, :N], y[:, :, :N]
+    values, modes = _convolution_transforms(x.shape, P, Q)
     got = modes(values(x) * values(y))
-    N = P // 2
     assert np.max(np.abs(want[N])) > 1e-3 * np.max(np.abs(want))  # Nyquist plane is live
     assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
