@@ -14,7 +14,8 @@ picks the transforms (``spectral._convolution_transforms``).  The scheme
 right-hand side carries a real state through all three stages as its
 (P, P, N) k3 >= 0 half, zero-padded to Q >= 3N points per axis in pruned
 one-axis real passes that skip the all-zero columns, or, for a state even
-in each velocity axis, as its real (N, N, N) octant through DCT-Is.  Whole
+in each velocity axis, as its real (N, N, N) octant through dense cosine
+matrices, one small matmul per axis (DCT-I as a matrix).  Whole
 (P, P, P) arrays, which only ``q_periodic_fast`` passes, take complex
 transforms.  The direct double-sum evaluator is retained as an O(P^6)
 oracle for small P.

@@ -299,8 +299,9 @@ def _outer(a, b, c) -> np.ndarray:
 
 def _sample_octant(t: float, x: np.ndarray, grid: GridSpec, exact) -> DiagnosticsRecord:
     """``sample_state`` of the axis-even state with real octant x: the values
-    at j = 0..N per axis come from the DCT-I of x, each gradient from a DST-I
-    along its own axis, and every sum weights a sample by its images."""
+    at j = 0..N per axis come from the cosine matrices of x, each gradient
+    from the sine matrix along its own axis (``spectral._octant_matrices``),
+    and every sum weights a sample by its images."""
     P, N, L = grid.P, grid.N, grid.L
     m = np.full(N + 1, 2.0)
     m[[0, N]] = 1.0
@@ -349,8 +350,7 @@ def _sample_octant(t: float, x: np.ndarray, grid: GridSpec, exact) -> Diagnostic
     for axis in range(3):
         shape = [1, 1, 1]
         shape[axis] = N
-        rest = tuple(a for a in (2, 1, 0) if a != axis)
-        g2 += (_octant_to_values(1j * k.reshape(shape) * x, P, (axis,) + rest) * scale) ** 2
+        g2 += (_octant_to_values(k.reshape(shape) * x, P, odd=axis) * scale) ** 2
 
     pos = f > EPS_POS
     fp, Mp, mp = f[pos], M[pos], mu[pos]

@@ -182,7 +182,9 @@ def _phase3(P: int) -> np.ndarray:
     """(-1)^(k1+k2+k3) over the k3 >= 0 half of the mode set; relates samples
     on [-L, L) to DFT order."""
     s = 1.0 - 2.0 * (np.abs(_mode_ints(P)) % 2).astype(np.float64)
-    return s[:, None, None] * s[None, :, None] * s[None, None, : P // 2]
+    out = s[:, None, None] * s[None, :, None] * s[None, None, : P // 2]
+    out.setflags(write=False)  # shared by every caller: a write would corrupt them all
+    return out
 
 
 def _embed_idx(P: int, n: int) -> np.ndarray:
@@ -249,26 +251,58 @@ def _assemble(half: np.ndarray) -> np.ndarray:
     return out
 
 
-def _octant_to_values(x: np.ndarray, n: int, axes=(2, 1, 0)) -> np.ndarray:
-    """Samples j = 0..n//2 (the rest mirror them) of the n-point inverse DFT
-    of an axis-even real field's real octant k_i = 0..N-1: a DCT-I per axis
-    (Swarztrauber, Symmetric FFTs, 1986), axis 0 last for a contiguous result.
-
-    The first axis may instead carry i times a real octant, the coefficients
-    of a field odd in that axis (a derivative along it): its pass is then a
-    DST-I, and the others are DCT-Is of the real result."""
+@lru_cache(maxsize=32)
+def _octant_matrices(N: int, n: int) -> tuple:
+    """The octant pair's read-only matrices at n points, m = n//2 + 1: the
+    (m, N) inverse irfft(x, n)[:m], the (N, m) forward hfft(v, n)[:N] and the
+    (m, N) sine irfft(1j x, n)[:m], written out as DCT-I and DST-I
+    (Swarztrauber, Symmetric FFTs, 1986)."""
     m = n // 2 + 1
-    for axis in axes:
-        x = np.fft.irfft(x, n, axis=axis)[(slice(None),) * axis + (slice(m),)]
+    angle = 2.0 * np.pi / n * (np.outer(np.arange(m), np.arange(N)) % n)
+    cos = np.cos(angle)
+    pair = np.where(np.arange(N) > 0, 2.0, 1.0) / n  # k with -k; k = 0 alone
+    image = np.where((np.arange(m) > 0) & (2 * np.arange(m) != n), 2.0, 1.0)  # j with n - j
+    out = (cos * pair, cos.T * image, -2.0 / n * np.sin(angle))
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def _along(C: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
+    """C applied along one axis of a 3-D x, a new C-contiguous array: one
+    small matmul per leading index (axis 0 through transposed views), whose
+    bits do not depend on the BLAS thread count as one 2-D gemm's do."""
+    if axis == 2:
+        return np.matmul(x, C.T)
+    if axis == 1:
+        return np.matmul(C, x)
+    out = np.empty((C.shape[0],) + x.shape[1:])
+    np.matmul(C, x.transpose(1, 0, 2), out=out.transpose(1, 0, 2))
+    return out
+
+
+def _octant_to_values(x: np.ndarray, n: int, odd: int | None = None) -> np.ndarray:
+    """Samples j = 0..n//2 (the rest mirror them) of the n-point inverse DFT
+    of an axis-even real field's real octant k_i = 0..N-1: the inverse
+    cosine matrix along each axis, axis 0 last for a contiguous result.
+
+    The axis ``odd`` may instead take the sine matrix: x is then the octant,
+    divided by i, of the coefficients of a field odd in that axis (a
+    derivative along it), and the result its samples."""
+    inverse, _, sine = _octant_matrices(x.shape[0], n)
+    for axis in (2, 1, 0):
+        x = _along(sine if axis == odd else inverse, x, axis)
     return x
 
 
 def _values_to_octant(vals: np.ndarray, n: int, N: int) -> np.ndarray:
     """The mirror image of ``_octant_to_values``: the DFT at k_i = 0..N-1 of
-    the even n-point extension of samples j = 0..n//2 per axis."""
-    vals = np.fft.hfft(vals, n, axis=2)[:, :, :N]
-    vals = np.fft.hfft(vals, n, axis=1)[:, :N]
-    return np.fft.hfft(vals, n, axis=0)[:N]
+    the even n-point extension of samples j = 0..n//2 per axis, the forward
+    cosine matrix along each axis."""
+    forward = _octant_matrices(N, n)[1]
+    for axis in (2, 1, 0):
+        vals = _along(forward, vals, axis)
+    return vals
 
 
 def _octant_to_full(octant: np.ndarray) -> np.ndarray:
@@ -431,7 +465,9 @@ def _psi_profile(r, grid: GridSpec):
 def _psi_grid_values(grid: GridSpec, n: int) -> np.ndarray:
     v = velocity_axis(grid, n)
     r = np.sqrt(v[:, None, None] ** 2 + v[None, :, None] ** 2 + v[None, None, :] ** 2)
-    return _psi_profile(r, grid)
+    out = _psi_profile(r, grid)
+    out.setflags(write=False)
+    return out
 
 
 def apply_cutoff(fhat: SpectralField) -> SpectralField:
@@ -456,7 +492,8 @@ def _cutoff_half(src: np.ndarray, grid: GridSpec) -> np.ndarray:
     ``src[:, :, :N]`` of a real field u; ``src`` is left as it is.  With
     cutoff_shape == "none" this is a projected copy of that half.  For the
     real octant of an axis-even u the result is an octant too: psi_R is
-    radial and v_{n-j} = -v_j, so the samples j = 0..n/2 suffice."""
+    radial and v_{n-j} = -v_j, so the samples j = 0..n/2 suffice, reached
+    by the cosine matrices of ``_octant_to_values`` and back."""
     N, n = grid.N, grid.oversample * grid.P
     octant = src.shape[0] == N
     half = src if octant else src[:, :, :N]
@@ -506,7 +543,8 @@ def _convolution_transforms(shape: tuple, P: int, Q: int):
     overwritten), so that ``modes(values(x) * values(y))`` is conv(x, y).
     Q >= 3N gives the literal truncated sums; Q < 3N aliases
     (``padded_size``).  (N, N, N) operands are real octants of axis-even
-    fields and take the DCT-I pair (``_octant_to_values``); (P, P, N)
+    fields and take the cosine matrices, one small matmul per axis and no
+    FFT (``_octant_to_values``); (P, P, N)
     operands are k3 >= 0 halves of real fields and take pruned one-axis
     real passes (``_modes_to_values``, ``_values_to_rows``); (P, P, P)
     operands are any coefficients and take n-D complex transforms of the

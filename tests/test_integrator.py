@@ -1,12 +1,16 @@
 """RK4 stepping, run-loop plumbing, blow-up detection."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from landau_spectral import diagnostics as diag
-from landau_spectral import integrator
+from landau_spectral import integrator, spectral
 from landau_spectral.collision import q_scheme_rhs
 from landau_spectral.exact import BkwParams, ShellParams, bkw, coulomb_shell
 from landau_spectral.integrator import (
@@ -285,6 +289,68 @@ def test_octant_sample_matches_the_full_sample(datum, P, tables_for):
         ref = np.array([float(r[i]) for r in want])
         size = grid.L * np.array([float(r[1]) for r in want]) if col.startswith("mom_") else np.abs(ref)
         assert np.all(np.abs(new - ref) <= _OCTANT_TOLERANCE[col] * size), col
+
+
+@pytest.mark.parametrize("cutoff_shape", ["paper", "none"])
+def test_octant_path_makes_no_fft_call(cutoff_shape, monkeypatch, tables_for):
+    # the octant pair is matrix products alone, its matrices built in closed
+    # form: an FFT called on this path would be a fallback to the old pair
+    grid = _bkw_grid(P=8, cutoff_shape=cutoff_shape)
+    tables = tables_for(grid)
+    x = _even_octant(initial_state(_f0(), grid).data)
+    want = q_scheme_rhs(x, grid, tables)
+    spectral._octant_matrices.cache_clear()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.fft called on the octant path")
+
+    for name in ("fft", "ifft", "rfft", "irfft", "hfft", "fftn", "ifftn"):
+        monkeypatch.setattr(np.fft, name, refuse)
+    assert np.array_equal(q_scheme_rhs(x, grid, tables), want)
+    rec = diag.sample_state(0.0, x, lambda t, V: bkw(t, V, BkwParams()), grid=grid)
+    assert rec.e2 is not None
+
+
+_THREAD_PROBE = """
+import hashlib
+import numpy as np
+from landau_spectral import diagnostics as diag
+from landau_spectral.exact import ShellParams, coulomb_shell
+from landau_spectral.integrator import TimeConfig, initial_state, run
+from landau_spectral.kernel import build_kernel_tables
+from landau_spectral.spectral import GridSpec, _octant_to_values, _values_to_octant, padded_size
+grid = GridSpec(L=1.8, P=48, gamma=-3.0)
+x = np.random.default_rng(5).standard_normal((grid.N,) * 3)
+digest = hashlib.sha256()
+for n in (grid.P, padded_size(grid), 2 * grid.P):
+    vals = _octant_to_values(x, n)
+    digest.update(vals.tobytes())
+    digest.update(_values_to_octant(vals, n, grid.N).tobytes())
+f0 = initial_state(lambda V: coulomb_shell(V, ShellParams()), grid)
+recs = []
+final = run(f0, grid, build_kernel_tables(grid), TimeConfig(dt=0.05, t_end=0.1),
+            sinks=[recs.append])
+digest.update(final.data.tobytes())
+for rec in recs:
+    digest.update(",".join(diag.record_row(rec)).encode())
+print(len(recs), digest.hexdigest())
+"""
+
+
+def test_octant_bits_do_not_depend_on_the_blas_thread_count():
+    # the octant pair's matrix products, at P = 48 and in a 2-step shell
+    # march, give the same bytes on one BLAS thread as on two
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        out.append(proc.stdout.split())
+    assert out[0][0] == "3"  # steps 0, 1 and 2 sampled
+    assert out[0] == out[1]
 
 
 def test_octant_sample_rejects_negative_mass():

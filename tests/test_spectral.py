@@ -31,8 +31,11 @@ from landau_spectral.spectral import (
     _even_octant,
     _modes_to_values,
     _next_fast_len,
+    _octant_matrices,
     _octant_to_full,
     _octant_to_values,
+    _phase3,
+    _psi_grid_values,
     _values_to_octant,
     _values_to_rows,
 )
@@ -461,6 +464,33 @@ def test_octant_pair_matches_the_half_pair(rng, P, n):
     got = _values_to_octant(half, n, N)
     assert got.flags.c_contiguous and got.shape == (N,) * 3
     assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+
+
+# every (N, n) of a run's octant pair; P = 10 pads to the odd n = 15
+_MATRIX_SIZES = [(P // 2, n) for P in (8, 10, 16, 32, 48, 64)
+                 for n in sorted({P, padded_size(_grid(P=P)), 2 * P})]
+
+
+@pytest.mark.parametrize("N,n", _MATRIX_SIZES)
+def test_octant_matrices_match_their_fft_definition(N, n):
+    # the FFT is the oracle here only: the octant pair makes no FFT call
+    m = n // 2 + 1
+    inverse, forward, sine = _octant_matrices(N, n)
+    cases = ((inverse, np.fft.irfft(np.eye(N), n, axis=0)[:m]),
+             (forward, np.fft.hfft(np.eye(m), n, axis=0)[:N]),
+             (sine, np.fft.irfft(1j * np.eye(N), n, axis=0)[:m]))
+    for got, want in cases:
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_cached_arrays_are_read_only():
+    # lru_cache hands every caller the same array: one in-place write would
+    # corrupt every later right-hand side
+    grid = _grid(P=8)
+    for a in (_phase3(8), _psi_grid_values(grid, 16), *_octant_matrices(4, 12)):
+        with pytest.raises(ValueError):
+            a *= 2.0
 
 
 def test_even_octant_rule(rng):
