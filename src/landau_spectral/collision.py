@@ -10,15 +10,17 @@ convolution sums weighted by 1, |k|^2 and |k|^4 (the rank form, after
 Mouhot & Pareschi's kernel splitting): four first factors of g and three
 second factors of h, each transformed once, give 7 zero-padded inverse and
 3 forward transforms per evaluation (``_collide``).  The operands' shape
-picks the transforms (``spectral._convolution_transforms``).  The scheme
-right-hand side carries a real state through all three stages as its
-(P, P, N) k3 >= 0 half, zero-padded to Q >= 3N points per axis in pruned
-one-axis real passes that skip the all-zero columns, or, for a state even
-in each velocity axis, as its real (N, N, N) octant through dense cosine
-matrices, one small matmul per axis (DCT-I as a matrix).  Whole
-(P, P, P) arrays, which only ``q_periodic_fast`` passes, take complex
-transforms.  The direct double-sum evaluator is retained as an O(P^6)
-oracle for small P.
+picks the transforms (``spectral._convolution_transforms``); each pair is
+the Fourier sum at the padded grid's points and the rectangle rule back,
+so a convolution carries no scale and (2L)^-3 is the operator's own.  The
+scheme right-hand side carries a real state through all three stages as
+its (P, P, N) k3 >= 0 half, zero-padded to Q >= 3N points per axis in
+pruned one-axis real passes that skip the all-zero columns, or, for a
+state even in each velocity axis, as its real (N, N, N) octant through
+dense cosine matrices, one small matmul per axis (DCT-I as a matrix).
+Whole (P, P, P) arrays, which only ``q_periodic_fast`` passes, take
+complex transforms.  The direct double-sum evaluator is retained as an
+O(P^6) oracle for small P.
 """
 
 from __future__ import annotations

@@ -4,7 +4,9 @@ All integrals use the rectangle rule on the collocation grid, which is
 spectrally accurate for smooth periodic integrands.  Pointwise-nonlinear
 functionals (entropy, Fisher) mask cells with f <= eps_pos; negative
 cells are reported separately through ``negative_mass`` and ``min_f``
-rather than being silently clipped.
+rather than being silently clipped.  Point values and gradients are the
+spectral pairs' Fourier sums at the grid points over the box volume
+(2L)^3, with no other scale or sign.
 
 A state even in each velocity axis is sampled on its octant: the samples
 j = 0..N per axis (v from -L to 0) hold every value of the P-point grid,
@@ -26,10 +28,9 @@ from .spectral import (
     GridSpec,
     PhysicalField,
     SpectralField,
-    _half_to_values,
     _mode_ints,
+    _modes_to_values,
     _octant_to_values,
-    _phase3,
     _state_grid,
     to_physical,
     velocity_axis,
@@ -156,12 +157,13 @@ def _fisher(fhat: SpectralField, f: np.ndarray, eps: float = EPS_POS) -> float:
     N = grid.N
     k = _mode_ints(P).astype(np.float64)
     half = fhat.data[:, :, :N]
+    inv_vol = (2.0 * grid.L) ** -3
     g2 = np.zeros_like(f)
     for axis in range(3):
         shape = [1, 1, 1]
         shape[axis] = P
         kk = k.reshape(shape)[:, :, :N]
-        g2 += _half_to_values(1j * np.pi / grid.L * kk * half, grid, P) ** 2
+        g2 += (_modes_to_values(1j * np.pi / grid.L * kk * half, P) * inv_vol) ** 2
     w = (2.0 * grid.L / P) ** 3
     mask = f > eps
     return float(np.sum(g2[mask] / f[mask])) * w
@@ -299,17 +301,17 @@ def _outer(a, b, c) -> np.ndarray:
 
 def _sample_octant(t: float, x: np.ndarray, grid: GridSpec, exact) -> DiagnosticsRecord:
     """``sample_state`` of the axis-even state with real octant x: the values
-    at j = 0..N per axis come from the cosine matrices of x, each gradient
-    from the sine matrix along its own axis (``spectral._octant_matrices``),
-    and every sum weights a sample by its images."""
+    at j = 0..N per axis are (2L)^-3 times the cosine matrices' Fourier sum
+    of x, each gradient the sine matrix's along its own axis
+    (``spectral._octant_matrices``), and every sum weights a sample by its
+    images."""
     P, N, L = grid.P, grid.N, grid.L
     m = np.full(N + 1, 2.0)
     m[[0, N]] = 1.0
     M = _outer(m, m, m)
     w = (2.0 * L / P) ** 3
-    x = x * _phase3(P)[:N, :N]
-    scale = P**3 / (2.0 * L) ** 3
-    f = _octant_to_values(x, P) * scale
+    inv_vol = (2.0 * L) ** -3
+    f = _octant_to_values(x, P) * inv_vol
     v = velocity_axis(grid, P)[: N + 1]
     r2 = _r2(v)
     Mf = M * f
@@ -350,7 +352,7 @@ def _sample_octant(t: float, x: np.ndarray, grid: GridSpec, exact) -> Diagnostic
     for axis in range(3):
         shape = [1, 1, 1]
         shape[axis] = N
-        g2 += (_octant_to_values(k.reshape(shape) * x, P, odd=axis) * scale) ** 2
+        g2 += (_octant_to_values(k.reshape(shape) * x, P, odd=axis) * inv_vol) ** 2
 
     pos = f > EPS_POS
     fp, Mp, mp = f[pos], M[pos], mu[pos]

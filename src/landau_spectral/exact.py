@@ -21,8 +21,8 @@ class BkwParams:
     amplitude: float = 0.4
 
     def __post_init__(self):
-        if self.rate <= 0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
+        if not (np.isfinite(self.rate) and self.rate > 0):
+            raise ValueError(f"rate must be finite and positive, got {self.rate}")
         if not 0.0 <= self.amplitude <= 0.4:
             raise ValueError(
                 f"amplitude must lie in [0, 0.4] so that S(t) >= 3/5, got {self.amplitude}"
@@ -63,10 +63,10 @@ class ShellParams:
     S: float = 10.0
 
     def __post_init__(self):
-        if self.sigma <= 0 or self.S <= 0:
-            raise ValueError(
-                f"sigma and S must be positive, got sigma={self.sigma}, S={self.S}"
-            )
+        for name in ("sigma", "S"):
+            x = getattr(self, name)
+            if not (np.isfinite(x) and x > 0):
+                raise ValueError(f"{name} must be finite and positive, got {x}")
 
 
 def coulomb_shell(v, params: ShellParams = ShellParams()):

@@ -51,8 +51,8 @@ class TimeConfig:
             raise ValueError(f"dt must be finite and positive, got {self.dt}")
         if not (np.isfinite(self.t_end) and self.t_end >= 0):
             raise ValueError(f"t_end must be finite and nonnegative, got {self.t_end}")
-        if self.sample_every < 1:
-            raise ValueError(f"sample_every must be >= 1, got {self.sample_every}")
+        if not isinstance(self.sample_every, (int, np.integer)) or self.sample_every < 1:
+            raise ValueError(f"sample_every must be an integer >= 1, got {self.sample_every!r}")
         if not np.isfinite(self.t_end / self.dt):
             raise ValueError(f"t_end / dt must be finite, got {self.t_end} / {self.dt}")
         n = round(self.t_end / self.dt)

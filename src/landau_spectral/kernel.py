@@ -81,8 +81,8 @@ class BetaParams:
     def __post_init__(self):
         if not -4.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [-4, 1], got {self.gamma}")
-        if self.L <= 0:
-            raise ValueError(f"L must be positive, got {self.L}")
+        if not (np.isfinite(self.L) and self.L > 0):
+            raise ValueError(f"L must be finite and positive, got {self.L}")
 
 
 @dataclass

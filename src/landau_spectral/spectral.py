@@ -11,10 +11,11 @@ Hermitian-symmetric coefficients; the Nyquist planes k_i = -N have no
 conjugate partner inside J_N and are therefore kept identically zero
 (see ``project``), which keeps every state exactly real-valued.
 
-The collocation grid has n points per axis at v_j = -L + 2Lj/n.  The
-midpoint/rectangle rule on that grid is exact for band-limited fields,
-which is what makes the discrete transform pair below an exact inverse
-pair.
+The collocation grid has n points per axis at v_j = -L + 2Lj/n.  Every
+transform pair below is the Fourier sum sum_k x_k exp(i pi k.v_j/L) at
+those points, sign (-1)^(k1+k2+k3) of v_0 = -L included, and the rectangle
+rule n^-3 sum_j back, exact for band-limited fields; point values and
+coefficients differ from the pair's only by the box volume (2L)^-/+3.
 """
 
 from __future__ import annotations
@@ -83,6 +84,8 @@ class GridSpec:
             object.__setattr__(self, "R", float(self.R))
         if not (np.isfinite(self.L) and self.L > 0):
             raise ValueError(f"L must be finite and positive, got {self.L}")
+        if not isinstance(self.P, (int, np.integer)):
+            raise ValueError(f"P must be an integer, got {self.P!r}")
         if self.P < 4 or self.P % 2 != 0:
             raise ValueError(f"P must be even and >= 4, got {self.P}")
         if not -4.0 <= self.gamma <= 1.0:
@@ -179,10 +182,10 @@ def _mode_ints(P: int) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _phase3(P: int) -> np.ndarray:
-    """(-1)^(k1+k2+k3) over the k3 >= 0 half of the mode set; relates samples
-    on [-L, L) to DFT order."""
+    """(-1)^(k1+k2+k3) over the (P, P, P) mode set in FFT order: the factor
+    exp(i pi k.v_0/L) that the grid's first point v_0 = -L puts on each mode."""
     s = 1.0 - 2.0 * (np.abs(_mode_ints(P)) % 2).astype(np.float64)
-    out = s[:, None, None] * s[None, :, None] * s[None, None, : P // 2]
+    out = s[:, None, None] * s[None, :, None] * s[None, None, :]
     out.setflags(write=False)  # shared by every caller: a write would corrupt them all
     return out
 
@@ -194,39 +197,42 @@ def _embed_idx(P: int, n: int) -> np.ndarray:
 
 
 def _modes_to_values(src: np.ndarray, n: int) -> np.ndarray:
-    """Real values on an n^3 grid from the coefficients of a real field.
+    """The Fourier sum sum_k x_k exp(i pi k.v_j/L) of a real field's
+    coefficients x at the n^3 grid points v_j = -L + 2Lj/n.
 
     Reads the k3 >= 0 half ``src[:, :, :N]`` only, so ``src`` is the whole
     (P, P, P) array or just that (P, P, N) half (the caller guarantees
-    Hermitian symmetry and zeroed Nyquist planes).  The half is zero-padded
-    on axes 0 and 1 into one (n, n, N) array, which axis 0 transforms in
-    place on the P*N columns that hold modes and axis 1 on all n*N; a c2r
-    pass then runs along axis 2: the 1-D transforms of a full irfftn minus
-    the all-zero ones.
+    Hermitian symmetry and zeroed Nyquist planes).  The half, times the
+    sign cube, is zero-padded on axes 0 and 1 into one (n, n, N) array,
+    which axis 0 transforms in place on the P*N columns that hold modes and
+    axis 1 on all n*N; a c2r pass then runs along axis 2: the unscaled 1-D
+    transforms of a full irfftn minus the all-zero ones.
     """
     P = src.shape[0]
     N = P // 2
     idx = _embed_idx(P, n)
     big = np.zeros((n, n, N), dtype=np.complex128)
-    big[np.ix_(idx, idx)] = src[:, :, :N]
+    big[np.ix_(idx, idx)] = src[:, :, :N] * _phase3(P)[:, :, :N]
     for cols in (slice(None, N), slice(n - N, None)):
-        np.fft.ifft(big[:, cols], axis=0, out=big[:, cols])
-    np.fft.ifft(big, axis=1, out=big)
-    return np.fft.irfft(big, n, axis=2)
+        np.fft.ifft(big[:, cols], axis=0, norm="forward", out=big[:, cols])
+    np.fft.ifft(big, axis=1, norm="forward", out=big)
+    return np.fft.irfft(big, n, axis=2, norm="forward")
 
 
 def _values_to_rows(vals: np.ndarray, P: int) -> np.ndarray:
-    """DFT of real samples on an n^3 grid at the modes of J_N with k3 >= 0:
-    the unprojected (P, P, N) k3 >= 0 half, in FFT order.
+    """The rectangle rule n^-3 sum_j v_j exp(-i pi k.v_j/L) of real samples
+    on the n^3 grid, at the modes of J_N with k3 >= 0: the unprojected
+    (P, P, N) k3 >= 0 half, in FFT order.
 
     The mirror image of ``_modes_to_values``: an r2c pass along axis 2
     keeps k3 = 0..N-1, then passes along axes 0 and 1 each keep the rows
     of J_N.
     """
     idx = _embed_idx(P, vals.shape[0])
-    a = np.fft.rfft(vals, axis=2)[:, :, : P // 2]
-    a = np.fft.fft(a, axis=0)[idx]
-    return np.fft.fft(a, axis=1, out=a)[:, idx]  # a is ours: a row copy
+    a = np.fft.rfft(vals, axis=2, norm="forward")[:, :, : P // 2]
+    a = np.fft.fft(a, axis=0, norm="forward")[idx]
+    a = np.fft.fft(a, axis=1, norm="forward", out=a)  # a is ours: transformed in place
+    return a[:, idx] * _phase3(P)[:, :, : P // 2]
 
 
 def _project_half(half: np.ndarray) -> np.ndarray:
@@ -253,16 +259,20 @@ def _assemble(half: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _octant_matrices(N: int, n: int) -> tuple:
-    """The octant pair's read-only matrices at n points, m = n//2 + 1: the
-    (m, N) inverse irfft(x, n)[:m], the (N, m) forward hfft(v, n)[:N] and the
-    (m, N) sine irfft(1j x, n)[:m], written out as DCT-I and DST-I
-    (Swarztrauber, Symmetric FFTs, 1986)."""
+    """The octant pair's read-only matrices at n points, m = n//2 + 1, as
+    DCT-I and DST-I (Swarztrauber, Symmetric FFTs, 1986): the (m, N) inverse
+    is the Fourier sum at v_j = -L + 2Lj/n, j < m, with exp(i pi k v_j/L) =
+    (-1)^k exp(2 pi i jk/n); the (m, N) sine matrix that sum for i times an
+    odd octant; the (N, m) forward the rectangle rule 1/n sum_j, folded by
+    v_{n-j} = -v_j onto j < m."""
     m = n // 2 + 1
-    angle = 2.0 * np.pi / n * (np.outer(np.arange(m), np.arange(N)) % n)
-    cos = np.cos(angle)
-    pair = np.where(np.arange(N) > 0, 2.0, 1.0) / n  # k with -k; k = 0 alone
-    image = np.where((np.arange(m) > 0) & (2 * np.arange(m) != n), 2.0, 1.0)  # j with n - j
-    out = (cos * pair, cos.T * image, -2.0 / n * np.sin(angle))
+    k = np.arange(N)
+    angle = 2.0 * np.pi / n * (np.outer(np.arange(m), k) % n)
+    sign = 1.0 - 2.0 * (k % 2)  # (-1)^k: the sum starts at v_0 = -L
+    pair = np.where(k > 0, 2.0, 1.0)  # k with -k; k = 0 alone
+    image = np.where((np.arange(m) > 0) & (2 * np.arange(m) != n), 2.0, 1.0) / n  # j with n - j
+    cos = np.cos(angle) * sign
+    out = (cos * pair, cos.T * image, -2.0 * sign * np.sin(angle))
     for a in out:
         a.setflags(write=False)
     return out
@@ -282,13 +292,13 @@ def _along(C: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _octant_to_values(x: np.ndarray, n: int, odd: int | None = None) -> np.ndarray:
-    """Samples j = 0..n//2 (the rest mirror them) of the n-point inverse DFT
-    of an axis-even real field's real octant k_i = 0..N-1: the inverse
-    cosine matrix along each axis, axis 0 last for a contiguous result.
+    """The Fourier sum at the grid points j = 0..n//2 per axis (the rest
+    mirror them) of an axis-even real field's real octant k_i = 0..N-1: the
+    inverse cosine matrix along each axis, axis 0 last for a contiguous result.
 
     The axis ``odd`` may instead take the sine matrix: x is then the octant,
     divided by i, of the coefficients of a field odd in that axis (a
-    derivative along it), and the result its samples."""
+    derivative along it), and the result its sum."""
     inverse, _, sine = _octant_matrices(x.shape[0], n)
     for axis in (2, 1, 0):
         x = _along(sine if axis == odd else inverse, x, axis)
@@ -296,9 +306,9 @@ def _octant_to_values(x: np.ndarray, n: int, odd: int | None = None) -> np.ndarr
 
 
 def _values_to_octant(vals: np.ndarray, n: int, N: int) -> np.ndarray:
-    """The mirror image of ``_octant_to_values``: the DFT at k_i = 0..N-1 of
-    the even n-point extension of samples j = 0..n//2 per axis, the forward
-    cosine matrix along each axis."""
+    """The mirror image of ``_octant_to_values``: the rectangle rule at
+    k_i = 0..N-1 of the even n-point extension of samples j = 0..n//2 per
+    axis, the forward cosine matrix along each axis."""
     forward = _octant_matrices(N, n)[1]
     for axis in (2, 1, 0):
         vals = _along(forward, vals, axis)
@@ -345,22 +355,6 @@ def _state_grid(fhat, grid: GridSpec | None) -> GridSpec:
     return grid
 
 
-def _half_to_values(src: np.ndarray, grid: GridSpec, n: int) -> np.ndarray:
-    """Point values on the n^3 grid of a real field from its k3 >= 0 half
-    ``src[:, :, :N]`` (``src`` is the whole array or just that half)."""
-    vals = _modes_to_values(src[:, :, : grid.N] * _phase3(grid.P), n)
-    vals *= n**3 / (2.0 * grid.L) ** 3
-    return vals
-
-
-def _values_to_half(vals: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Projected k3 >= 0 half of the rectangle-rule coefficients of samples."""
-    P = grid.P
-    half = _values_to_rows(vals, P)
-    half *= _phase3(P) * (2.0 * grid.L / vals.shape[0]) ** 3
-    return _project_half(half)
-
-
 def _check_hermitian(data: np.ndarray) -> None:
     """Raise unless (P, P, P) coefficients describe a real field: Hermitian
     with zero Nyquist planes, each within 1e-12 of the largest coefficient.
@@ -402,16 +396,18 @@ def to_spectral(field: PhysicalField) -> SpectralField:
     """Forward transform: rectangle-rule Fourier coefficients on J_N.
 
     The grid size must be a multiple of P; modes above N-1 are discarded
-    (projection) and the Nyquist planes are zeroed.  The transform runs
-    one axis at a time and keeps only the rows of the modes -N..N-1 after
-    each pass (``_values_to_rows``).  The k3 >= 0 half is computed and
-    the negative k3 are its conjugates (``_assemble``).
+    (projection) and the Nyquist planes are zeroed.  The coefficients are
+    the box volume (2L)^3 times the rectangle rule of ``_values_to_rows``,
+    which runs one axis at a time and keeps only the rows of the modes
+    -N..N-1 after each pass.  The k3 >= 0 half is computed and the
+    negative k3 are its conjugates (``_assemble``).
     """
     grid = field.grid
     P = grid.P
     if field.n % P != 0:
         raise ShapeMismatchError(f"grid size {field.n} is not a multiple of P={P}")
-    return SpectralField(_assemble(_values_to_half(field.data, grid)), grid)
+    half = _values_to_rows(field.data, P) * (2.0 * grid.L) ** 3
+    return SpectralField(_assemble(_project_half(half)), grid)
 
 
 def to_physical(fhat: SpectralField, n: int | None = None) -> PhysicalField:
@@ -419,7 +415,8 @@ def to_physical(fhat: SpectralField, n: int | None = None) -> PhysicalField:
 
     The coefficients must describe a real field; violations of Hermitian
     symmetry beyond 1e-12 (relative) raise ``HermitianSymmetryError``.
-    Only the k3 >= 0 half is transformed, one axis at a time, skipping
+    The values are the Fourier sum at the grid points over the box volume
+    (2L)^3.  Only the k3 >= 0 half is summed, one axis at a time, skipping
     the all-zero columns of the zero-padded spectrum (``_modes_to_values``).
     """
     grid = fhat.grid
@@ -429,7 +426,7 @@ def to_physical(fhat: SpectralField, n: int | None = None) -> PhysicalField:
     if n % P != 0 or n < P:
         raise ShapeMismatchError(f"output grid size {n} is not a multiple of P={P}")
     _check_hermitian(fhat.data)
-    return PhysicalField(_half_to_values(fhat.data, grid, n), grid)
+    return PhysicalField(_modes_to_values(fhat.data, n) * (2.0 * grid.L) ** -3, grid)
 
 
 def psi_R(v, grid: GridSpec):
@@ -463,6 +460,8 @@ def _psi_profile(r, grid: GridSpec):
 
 @lru_cache(maxsize=8)
 def _psi_grid_values(grid: GridSpec, n: int) -> np.ndarray:
+    """psi_R at the n^3 grid points v_j = -L + 2Lj/n, read-only and cached:
+    the cutoff's multiplier in ``_cutoff_half`` and ``initial_state``."""
     v = velocity_axis(grid, n)
     r = np.sqrt(v[:, None, None] ** 2 + v[None, :, None] ** 2 + v[None, None, :] ** 2)
     out = _psi_profile(r, grid)
@@ -488,25 +487,23 @@ def apply_cutoff(fhat: SpectralField) -> SpectralField:
 
 
 def _cutoff_half(src: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Projected k3 >= 0 half of P_N(u psi_R), read from the k3 >= 0 half
-    ``src[:, :, :N]`` of a real field u; ``src`` is left as it is.  With
-    cutoff_shape == "none" this is a projected copy of that half.  For the
-    real octant of an axis-even u the result is an octant too: psi_R is
-    radial and v_{n-j} = -v_j, so the samples j = 0..n/2 suffice, reached
-    by the cosine matrices of ``_octant_to_values`` and back."""
+    """P_N(u psi_R) of a real field u, left as it is: the projected k3 >= 0
+    half from the half ``src[:, :, :N]`` of the whole array or of the half,
+    an octant from the real octant of an axis-even u (psi_R is radial, so
+    its samples j = 0..n/2 suffice).  It is ``modes(values(u) * psi_R)`` on
+    the oversampled grid through the form's own pair, with no rescale
+    (``_convolution_transforms``).  With cutoff_shape == "none" it is a
+    copy of the form, projected if it is a half."""
     N, n = grid.N, grid.oversample * grid.P
-    octant = src.shape[0] == N
-    half = src if octant else src[:, :, :N]
+    x = src[:, :, :N]  # an octant whole
     if grid.cutoff_shape == "none":
-        return half.copy() if octant else _project_half(half.copy())
-    if octant:  # the values' scale n^3 (2L)^-3 cancels the rectangle rule's (2L/n)^3
-        m, phase = n // 2 + 1, _phase3(grid.P)[:N, :N]
-        vals = _octant_to_values(src * phase, n)
-        vals *= _psi_grid_values(grid, n)[:m, :m, :m]
-        return _values_to_octant(vals, n, N) * phase
-    vals = _half_to_values(half, grid, n)
-    vals *= _psi_grid_values(grid, n)
-    return _values_to_half(vals, grid)
+        out = x.copy()
+    else:
+        values, modes = _convolution_transforms(x.shape, grid.P, n)
+        vals = values(x)
+        vals *= _psi_grid_values(grid, n)[tuple(slice(s) for s in vals.shape)]
+        out = modes(vals)
+    return out if x.shape[0] == N else _project_half(out)
 
 
 def padded_size(grid: GridSpec) -> int:
@@ -534,43 +531,39 @@ def _next_fast_len(n: int) -> int:
 
 
 def _convolution_transforms(shape: tuple, P: int, Q: int):
-    """The transform pair ``(values, modes)`` of truncated convolutions on J_N
-    at Q points per axis, chosen by the shape of the operands alone.
+    """The transform pair ``(values, modes)`` of coefficients on J_N at Q
+    points per axis, chosen by the shape of the operands alone.
 
-    ``values(x)`` gives the zero-padded point values of coefficients x of
-    that shape; ``modes(v)`` gives, in that shape and unprojected, the
-    coefficients on J_N of a sum v of products of such values (v may be
-    overwritten), so that ``modes(values(x) * values(y))`` is conv(x, y).
+    ``values(x)`` is the Fourier sum sum_k x_k exp(i pi k.v_j/L) at the
+    grid points v_j = -L + 2Lj/Q, sign (-1)^(k1+k2+k3) included; ``modes(v)``
+    is the rectangle rule Q^-3 sum_j v_j exp(-i pi k.v_j/L) on J_N, in that
+    shape and unprojected (v may be overwritten).  So ``modes(values(x))``
+    is x and ``modes(values(x) * values(y))`` is conv(x, y), unscaled.
     Q >= 3N gives the literal truncated sums; Q < 3N aliases
     (``padded_size``).  (N, N, N) operands are real octants of axis-even
     fields and take the cosine matrices, one small matmul per axis and no
-    FFT (``_octant_to_values``); (P, P, N)
-    operands are k3 >= 0 halves of real fields and take pruned one-axis
-    real passes (``_modes_to_values``, ``_values_to_rows``); (P, P, P)
-    operands are any coefficients and take n-D complex transforms of the
-    zero-padded Q^3 cube.
+    FFT (``_octant_to_values``); (P, P, N) operands are k3 >= 0 halves of
+    real fields and take pruned one-axis real passes (``_modes_to_values``,
+    ``_values_to_rows``); (P, P, P) operands are any coefficients and take
+    n-D complex transforms of the zero-padded Q^3 cube.
     """
     if shape[0] == P // 2:
-        values = lambda x: _octant_to_values(x, Q)
-        forward = lambda v: _values_to_octant(v, Q, P // 2)
-    elif shape[2] == P // 2:
-        values = lambda x: _modes_to_values(x, Q)
-        forward = lambda v: _values_to_rows(v, P)
-    else:
-        idx = _embed_idx(P, Q)
-        ix = np.ix_(idx, idx, idx)
+        return (lambda x: _octant_to_values(x, Q),
+                lambda v: _values_to_octant(v, Q, P // 2))
+    if shape[2] == P // 2:
+        return lambda x: _modes_to_values(x, Q), lambda v: _values_to_rows(v, P)
+    idx = _embed_idx(P, Q)
+    ix = np.ix_(idx, idx, idx)
+    sign = _phase3(P)
 
-        def values(x):
-            big = np.zeros((Q, Q, Q), dtype=np.complex128)
-            big[ix] = x
-            return np.fft.ifftn(big, out=big)
-
-        def forward(v):
-            return np.fft.fftn(v, out=v)[ix]
+    def values(x):
+        big = np.zeros((Q, Q, Q), dtype=np.complex128)
+        big[ix] = x * sign
+        return np.fft.ifftn(big, norm="forward", out=big)
 
     def modes(v):
-        out = forward(v)
-        out *= float(Q) ** 3
+        out = np.fft.fftn(v, norm="forward", out=v)[ix]
+        out *= sign
         return out
 
     return values, modes

@@ -61,6 +61,14 @@ def test_bkw_params_validation():
         BkwParams(amplitude=-0.1)
 
 
+@pytest.mark.parametrize("kw", [{"rate": np.nan}, {"rate": np.inf}, {"amplitude": np.nan}])
+def test_bkw_params_refuse_non_finite_values(kw):
+    # the CLI refuses these already; a library caller gets the field's name
+    # here instead of a NaN datum failing later
+    with pytest.raises(ValueError, match=next(iter(kw))):
+        BkwParams(**kw)
+
+
 # ---------------------------------------------------------------------------
 # shell profile
 # ---------------------------------------------------------------------------
@@ -81,6 +89,15 @@ def test_shell_params_validation():
         ShellParams(sigma=0.0)
     with pytest.raises(ValueError):
         ShellParams(S=-1.0)
+
+
+@pytest.mark.parametrize("kw", [{"sigma": np.nan}, {"sigma": np.inf}, {"S": np.nan},
+                                {"S": np.inf}])
+def test_shell_params_refuse_non_finite_values(kw):
+    # a NaN datum would otherwise reach run and fail at step 0 with
+    # "no Maxwellian for rho = nan", which names neither field
+    with pytest.raises(ValueError, match=f"^{next(iter(kw))} must be finite"):
+        ShellParams(**kw)
 
 
 # ---------------------------------------------------------------------------

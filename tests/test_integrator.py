@@ -68,6 +68,14 @@ def test_time_config_caps_the_step_count():
     assert TimeConfig(dt=1.0, t_end=1e9).n_steps == 10**9
 
 
+@pytest.mark.parametrize("every", [2.5, 2.0, np.float64(2.0), "2"])
+def test_time_config_refuses_a_non_integer_sample_every(every):
+    # 2.5 would sample at the steps divisible by 2.5
+    with pytest.raises(ValueError, match="sample_every must be an integer"):
+        TimeConfig(dt=0.1, t_end=1.0, sample_every=every)
+    assert TimeConfig(dt=0.1, t_end=1.0, sample_every=np.int64(2)).sample_every == 2
+
+
 @pytest.mark.parametrize("dt,t_end", [(0.05, np.inf), (np.nan, 1.0), (np.inf, 1.0),
                                       (0.05, np.nan), (1e-300, 1e10)])
 def test_time_config_rejects_non_finite_values(dt, t_end):
@@ -306,6 +314,25 @@ def test_octant_path_makes_no_fft_call(cutoff_shape, monkeypatch, tables_for):
 
     for name in ("fft", "ifft", "rfft", "irfft", "hfft", "fftn", "ifftn"):
         monkeypatch.setattr(np.fft, name, refuse)
+    assert np.array_equal(q_scheme_rhs(x, grid, tables), want)
+    rec = diag.sample_state(0.0, x, lambda t, V: bkw(t, V, BkwParams()), grid=grid)
+    assert rec.e2 is not None
+
+
+@pytest.mark.parametrize("cutoff_shape", ["paper", "none"])
+def test_octant_path_never_reads_the_sign_cube(cutoff_shape, monkeypatch, tables_for):
+    # the octant matrices hold the sign (-1)^k of the first grid point: a
+    # stage that reads the (P, P, P) sign cube flips or rescales by hand
+    grid = _bkw_grid(P=8, cutoff_shape=cutoff_shape)
+    tables = tables_for(grid)
+    x = _even_octant(initial_state(_f0(), grid).data)
+    want = q_scheme_rhs(x, grid, tables)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sign cube read on the octant path")
+
+    for module in (spectral, diag):  # diagnostics must not import its own copy
+        monkeypatch.setattr(module, "_phase3", refuse, raising=False)
     assert np.array_equal(q_scheme_rhs(x, grid, tables), want)
     rec = diag.sample_state(0.0, x, lambda t, V: bkw(t, V, BkwParams()), grid=grid)
     assert rec.e2 is not None

@@ -297,6 +297,12 @@ def test_params_validation():
         GridSpec(L=1.0, P=2)  # too small
 
 
+@pytest.mark.parametrize("L", [np.nan, np.inf, -np.inf])
+def test_beta_params_refuse_a_non_finite_box(L):
+    with pytest.raises(ValueError, match="L must be finite"):
+        BetaParams(gamma=-3.0, L=L)
+
+
 def test_integer_modes_required():
     with pytest.raises(ValueError):
         beta_coulomb([0.5, 0, 0], [1, 0, 0])

@@ -392,6 +392,43 @@ def test_convolution_transforms_choose_by_shape(rng):
         assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
 
+def _fourier_sum(full, L, n):
+    """sum_k x_k exp(i pi k.v_j/L) at the n^3 points v_j = -L + 2Lj/n, an
+    explicit loop over the modes of the (P, P, P) coefficients x."""
+    P = full.shape[0]
+    k = np.fft.fftfreq(P, d=1.0 / P)
+    v = -L + 2.0 * L * np.arange(n) / n
+    E = np.exp(1j * np.pi * np.outer(v, k) / L)  # (n, P): one mode per column
+    out = np.zeros((n, n, n), dtype=np.complex128)
+    for k1, k2, k3 in np.ndindex(full.shape):
+        if full[k1, k2, k3] != 0.0:
+            out += full[k1, k2, k3] * (E[:, k1, None, None] * E[None, :, k2, None]
+                                       * E[None, None, :, k3])
+    return out
+
+
+@pytest.mark.parametrize("P,n", [(4, 4), (4, 6), (4, 8), (10, 15)])
+def test_each_pair_is_the_fourier_sum_at_the_grid_points(rng, P, n):
+    # the one convention: every form's values are the paper's Fourier sum at
+    # the grid's own points, sign included and unscaled, and its modes the
+    # rectangle rule n^-3 sum_j that inverts them on the form's block
+    N, m = P // 2, n // 2 + 1
+    grid = _grid(P=P, L=1.8)
+    real = to_spectral(PhysicalField(rng.standard_normal((P,) * 3), grid)).data
+    octant = rng.standard_normal((N,) * 3)
+    whole = rng.standard_normal((P,) * 3) + 1j * rng.standard_normal((P,) * 3)
+    cases = ((octant, _octant_to_full(octant), (m,) * 3),
+             (real[:, :, :N], real, (n,) * 3),
+             (whole, whole, (n,) * 3))
+    for x, full, block in cases:
+        values, modes = _convolution_transforms(x.shape, P, n)
+        want = _fourier_sum(full, grid.L, n)[tuple(map(slice, block))]
+        got = values(x)
+        assert got.shape == block
+        assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+        assert np.max(np.abs(modes(got) - x)) < 1e-13 * np.max(np.abs(x))
+
+
 # ---------------------------------------------------------------------------
 # pruned one-axis transforms against the full transforms
 # ---------------------------------------------------------------------------
@@ -400,22 +437,32 @@ _PRUNED_SIZES = [(P, n) for P in (4, 10, 16, 22, 32)
                  for n in sorted({P, 2 * P, 3 * P, padded_size(_grid(P=P))})]
 
 
+def _sign(P):
+    """(-1)^(k1+k2+k3) over the (P, P, P) mode set in FFT order: the
+    Fourier sum's factor at the first grid point v_0 = -L."""
+    s = (-1.0) ** np.abs(np.fft.fftfreq(P, d=1.0 / P).astype(int))
+    return s[:, None, None] * s[None, :, None] * s[None, None, :]
+
+
 def _full_inverse(src, n):
-    """irfftn of the whole zero-padded (n, n, n/2+1) half spectrum."""
+    """irfftn, unscaled, of the whole zero-padded (n, n, n/2+1) half
+    spectrum of the signed coefficients: their Fourier sum at the grid
+    points v_j = -L + 2Lj/n."""
     P = src.shape[0]
     N = P // 2
     idx = np.r_[:N, n - N : n]
     H = np.zeros((n, n, n // 2 + 1), dtype=np.complex128)
-    H[np.ix_(idx, idx, np.arange(N))] = src[:, :, :N]
-    return scipy.fft.irfftn(H, s=(n, n, n))
+    H[np.ix_(idx, idx, np.arange(N))] = (src * _sign(P))[:, :, :N]
+    return scipy.fft.irfftn(H, s=(n, n, n), norm="forward")
 
 
 def _full_forward(vals, P):
-    """The full complex DFT of the samples, read at every mode of J_N."""
+    """The full complex DFT of the samples over n^3, signed, read at every
+    mode of J_N: their rectangle-rule Fourier coefficients."""
     n = vals.shape[0]
     N = P // 2
     idx = np.r_[:N, n - N : n]
-    return scipy.fft.fftn(vals)[np.ix_(idx, idx, idx)]
+    return scipy.fft.fftn(vals, norm="forward")[np.ix_(idx, idx, idx)] * _sign(P)
 
 
 def _hermitian_modes(rng, P):
@@ -473,12 +520,14 @@ _MATRIX_SIZES = [(P // 2, n) for P in (8, 10, 16, 32, 48, 64)
 
 @pytest.mark.parametrize("N,n", _MATRIX_SIZES)
 def test_octant_matrices_match_their_fft_definition(N, n):
-    # the FFT is the oracle here only: the octant pair makes no FFT call
+    # the FFT is the oracle here only: the octant pair makes no FFT call;
+    # the sign (-1)^k is exp(i pi k v_0/L) at the first point v_0 = -L
     m = n // 2 + 1
+    sign = (-1.0) ** np.arange(N)
     inverse, forward, sine = _octant_matrices(N, n)
-    cases = ((inverse, np.fft.irfft(np.eye(N), n, axis=0)[:m]),
-             (forward, np.fft.hfft(np.eye(m), n, axis=0)[:N]),
-             (sine, np.fft.irfft(1j * np.eye(N), n, axis=0)[:m]))
+    cases = ((inverse, np.fft.irfft(np.diag(sign), n, axis=0, norm="forward")[:m]),
+             (forward, sign[:, None] * np.fft.hfft(np.eye(m), n, axis=0, norm="forward")[:N]),
+             (sine, np.fft.irfft(1j * np.diag(sign), n, axis=0, norm="forward")[:m]))
     for got, want in cases:
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
@@ -606,6 +655,17 @@ def test_grid_spec_validation():
         GridSpec(L=1.0, P=8, cutoff_shape="boxcar")
     g = GridSpec(L=2.0, P=8)
     assert g.R == 2.0 and g.N == 4
+
+
+@pytest.mark.parametrize("P", [8.0, np.float64(8.0), 8.5, "8"])
+def test_grid_spec_refuses_a_non_integer_P(P):
+    # 8.0 would fail later, inside initial_state, as a slice index
+    with pytest.raises(ValueError, match="P must be an integer"):
+        GridSpec(L=1.8, P=P)
+
+
+def test_grid_spec_takes_numpy_integers():
+    assert GridSpec(L=1.8, P=np.int64(8)).N == 4
 
 
 def test_grid_spec_blames_a_non_finite_box_on_L():
